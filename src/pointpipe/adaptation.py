@@ -10,43 +10,27 @@ the uniform mean in the interior.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
 from .classical import heatmap_to_points
-from .evalsuite import repeatability
-from .imaging import resize_bilinear
 from .synthdata import write_points
 
 
 @dataclass(frozen=True)
 class AdaptConfig:
     n_homographies: int = 100
-    ranges: geo.HomographyRanges = field(default_factory=lambda: geo.ranges_preset("adaptation"))
     detect_threshold: float = 0.015
     nms_radius: float = 4.0
-    scales: tuple = (1.0,)
-    scale_weights: tuple | None = None  # None = proportional to scale
     mask_erosion: int = 8  # px; see adapt()
 
     def __post_init__(self):
         if self.n_homographies < 1:
             raise ValueError("need at least one homography (the identity)")
-        if list(self.scales) != sorted(self.scales, reverse=True):
-            raise ValueError("scales must be sorted descending")
-        if self.scale_weights is not None and len(self.scale_weights) != len(self.scales):
-            raise ValueError("one weight per scale")
         if self.mask_erosion < 0:
             raise ValueError("mask_erosion must be >= 0")
-
-    def weights(self) -> np.ndarray:
-        if self.scale_weights is None:
-            w = np.asarray(self.scales, dtype=np.float64)
-        else:
-            w = np.asarray(self.scale_weights, dtype=np.float64)
-        return w / w.sum()
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -65,6 +49,8 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
 def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndarray:
     """Average detector responses over n_homographies warps (identity first).
 
+    Warps are drawn from the "adaptation" homography preset, whose scale
+    term makes the average multi-scale as well as multi-homography.
     Responses within ``mask_erosion`` px of a warp's validity border are
     discarded: the detector computed them from padding, and the boundary
     itself is an artificial edge that would otherwise inject spurious
@@ -77,11 +63,12 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
     base = np.asarray(detector(img), dtype=np.float32)
     if cfg.n_homographies == 1:
         return base
+    ranges = geo.ranges_preset("adaptation")
     accum = base.astype(np.float64)
     count = np.ones(img.shape, dtype=np.float64)
     for i in range(1, cfg.n_homographies):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
-        h = geo.to_pixel_frame(geo.sample_homography(cfg.ranges, rng), img.shape)
+        h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
         hinv = geo.invert(h)
         warped, fwd_mask = geo.warp_image(img, h)
         response = np.asarray(detector(warped), dtype=np.float32)
@@ -94,45 +81,6 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
         count += covered
     out = accum / count
     return out.astype(np.float32)
-
-
-def _round8(x: float) -> int:
-    return max(8, int(round(x / 8.0)) * 8)
-
-
-def adapt_multiscale(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndarray:
-    """Within-scale averaging, across-scale weighted maximum.
-
-    Each scale resizes the image (dimensions snapped to multiples of 8),
-    runs adapt, and upsamples the result; the outputs combine by the
-    weighted elementwise maximum, higher resolutions carrying more weight.
-    """
-    hgt, wdt = img.shape
-    weights = cfg.weights()
-    out = None
-    for k, s in enumerate(cfg.scales):
-        if s == 1.0:
-            scaled = img
-        else:
-            scaled = resize_bilinear(img, (_round8(hgt * s), _round8(wdt * s)))
-        # all scales share the warp sequence (unit-frame draws, so they apply
-        # cleanly at any resolution); identical scales yield identical maps
-        hm = adapt(detector, scaled, cfg, seed=seed)
-        if hm.shape != (hgt, wdt):
-            hm = resize_bilinear(hm, (hgt, wdt))
-        layer = weights[k] * hm
-        out = layer if out is None else np.maximum(out, layer)
-    return out.astype(np.float32)
-
-
-def covariance_repeatability(detector, img: np.ndarray, h: np.ndarray, eps: float, k: int,
-                             nms_radius: float = 4.0) -> float:
-    """Detect top-k on the image and its warp; score how covariantly the
-    detector behaved under that homography."""
-    warped, _ = geo.warp_image(img, h)
-    pts1 = heatmap_to_points(np.asarray(detector(img)), -np.inf, nms_radius, k)
-    pts2 = heatmap_to_points(np.asarray(detector(warped)), -np.inf, nms_radius, k)
-    return repeatability(pts1, pts2, h, img.shape, eps)
 
 
 def self_label(images, detector, cfg: AdaptConfig, rounds: int, retrain=None,

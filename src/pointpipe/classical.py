@@ -8,27 +8,17 @@ learned detectors so benchmark protocols treat every detector identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+HARRIS_K = 0.04
+WINDOW_SIGMA = 1.0  # px, Gaussian structure-tensor window
+FAST_THRESHOLD = 0.08  # intensity units in [0,1]
+FAST_ARC = 9  # contiguous circle pixels required
 
 
 class ImageTooSmall(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DetectorParams:
-    harris_k: float = 0.04
-    window_sigma: float = 1.0  # px, Gaussian structure-tensor window
-    fast_threshold: float = 0.08  # intensity units in [0,1]
-    fast_arc: int = 9  # contiguous circle pixels required
-
-    def __post_init__(self):
-        if not 0.0 < self.harris_k < 0.25:
-            raise ValueError(f"harris_k must be in (0, 0.25), got {self.harris_k}")
-        if not 9 <= self.fast_arc <= 12:
-            raise ValueError(f"fast_arc must be in [9, 12], got {self.fast_arc}")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -64,19 +54,19 @@ def _check_size(img):
         raise ImageTooSmall(f"need at least 7x7 pixels, got {img.shape}")
 
 
-def harris(img: np.ndarray, params: DetectorParams = DetectorParams()) -> np.ndarray:
+def harris(img: np.ndarray) -> np.ndarray:
     """det(M) - k trace(M)^2 over the Gaussian-windowed structure tensor."""
     _check_size(img)
-    sxx, syy, sxy = _structure_tensor(img, params.window_sigma)
+    sxx, syy, sxy = _structure_tensor(img, WINDOW_SIGMA)
     det = sxx * syy - sxy * sxy
     tr = sxx + syy
-    return (det - params.harris_k * tr * tr).astype(np.float32)
+    return (det - HARRIS_K * tr * tr).astype(np.float32)
 
 
-def shi_tomasi(img: np.ndarray, params: DetectorParams = DetectorParams()) -> np.ndarray:
+def shi_tomasi(img: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of the structure tensor, in closed form."""
     _check_size(img)
-    sxx, syy, sxy = _structure_tensor(img, params.window_sigma)
+    sxx, syy, sxy = _structure_tensor(img, WINDOW_SIGMA)
     half_tr = 0.5 * (sxx + syy)
     disc = np.sqrt(np.maximum(0.25 * (sxx - syy) ** 2 + sxy * sxy, 0.0))
     # exact arithmetic gives lam_min >= 0 for a PSD matrix; clamp roundoff
@@ -90,10 +80,10 @@ _FAST_OFFSETS = (
 )
 
 
-def fast(img: np.ndarray, params: DetectorParams = DetectorParams()) -> np.ndarray:
+def fast(img: np.ndarray) -> np.ndarray:
     """Segment-test corners; confidence is the best contiguous arc margin.
 
-    A pixel fires when at least ``fast_arc`` contiguous circle pixels are
+    A pixel fires when at least ``FAST_ARC`` contiguous circle pixels are
     all brighter than center + t or all darker than center - t.  A 3-px
     greedy NMS is applied internally.  Returns an (N, 3) point array.
     """
@@ -104,13 +94,12 @@ def fast(img: np.ndarray, params: DetectorParams = DetectorParams()) -> np.ndarr
     big = np.empty((16,) + center.shape, dtype=np.float32)
     for k, (dx, dy) in enumerate(_FAST_OFFSETS):
         big[k] = img[3 + dy : hgt - 3 + dy, 3 + dx : wdt - 3 + dx]
-    t = np.float32(params.fast_threshold)
+    t = np.float32(FAST_THRESHOLD)
     bright = big - center - t  # > 0 where circle pixel is brighter by margin
     dark = center - t - big
-    arc = params.fast_arc
     margin = np.full(center.shape, -np.inf, dtype=np.float32)
     for start in range(16):
-        idx = [(start + j) % 16 for j in range(arc)]
+        idx = [(start + j) % 16 for j in range(FAST_ARC)]
         margin = np.maximum(margin, np.minimum.reduce([bright[i] for i in idx]))
         margin = np.maximum(margin, np.minimum.reduce([dark[i] for i in idx]))
     ys, xs = np.nonzero(margin > 0)

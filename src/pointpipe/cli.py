@@ -469,34 +469,42 @@ EVAL_MATCH_SCHEMA = [
 ]
 
 
-def _noise_eval_samples(cfg, prefix):
-    stream_cfg = sd.StreamConfig(height=cfg[f"{prefix}.height"], width=cfg[f"{prefix}.width"],
-                                 noise=False, seed=cfg[f"{prefix}.seed"])
-    return [sd.sample_at(stream_cfg, i) for i in range(cfg[f"{prefix}.count"])]
+def _noise_experiment(cfg, column, conditions, corrupt):
+    """Write mAP/MLE per (condition, detector) on corrupted clean samples.
+
+    ``conditions`` is a list of (CSV label, condition); ``corrupt(condition,
+    i, image)`` returns sample i's image under that condition.  Returns the
+    number of rows written.
+    """
+    stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"],
+                                 noise=False, seed=cfg["exp_noise.seed"])
+    samples = [sd.sample_at(stream_cfg, i) for i in range(cfg["exp_noise.count"])]
+    detectors = parse_detectors(cfg["exp_noise.detectors"], cfg["exp_noise.threshold"])
+    rows = []
+    for label, condition in conditions:
+        corrupted = [sd.ShapeSample(corrupt(condition, i, s.image), s.points, s.category)
+                     for i, s in enumerate(samples)]
+        for name, det in detectors.items():
+            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, cfg["exp_noise.eps"])
+            rows.append((label, name, f"{mapv:.6f}", f"{mle:.6f}"))
+    with open(cfg["exp_noise.out"], "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([column, "detector", "map", "mle"])
+        w.writerows(rows)
+    return len(rows)
 
 
 def cmd_exp_noise_sweep(cfg, args):
-    samples = _noise_eval_samples(cfg, "exp_noise")
-    detectors = parse_detectors(cfg["exp_noise.detectors"], cfg["exp_noise.threshold"])
     seed = cfg["exp_noise.seed"]
-    rows = []
-    for k, s in enumerate(np.arange(0.0, 2.0 + 1e-9, 0.25)):
-        blended = []
-        for i, sample in enumerate(samples):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 0x8B, i)))
-            noisy = im.apply_noise_battery(sample.image, rng)
-            random_img = rng.random(sample.image.shape).astype(np.float32)
-            img = im.noise_blend(sample.image, noisy, random_img, float(s))
-            blended.append(sd.ShapeSample(img, sample.points, sample.category))
-        for name, det in detectors.items():
-            mapv, mle, _ = ev.detector_gt_metrics(det, blended, cfg["exp_noise.eps"])
-            rows.append((float(s), name, mapv, mle))
-    with open(cfg["exp_noise.out"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["s", "detector", "map", "mle"])
-        for s, name, mapv, mle in rows:
-            w.writerow([f"{s:.2f}", name, f"{mapv:.6f}", f"{mle:.6f}"])
-    print(f"noise sweep ({len(rows)} rows) -> {cfg['exp_noise.out']}")
+
+    def blend(s, i, image):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x8B, i)))
+        noisy = im.apply_noise_battery(image, rng)
+        return im.noise_blend(image, noisy, rng.random(image.shape).astype(np.float32), s)
+
+    grid = [(f"{s:.2f}", float(s)) for s in np.arange(0.0, 2.0 + 1e-9, 0.25)]
+    n = _noise_experiment(cfg, "s", grid, blend)
+    print(f"noise sweep ({n} rows) -> {cfg['exp_noise.out']}")
 
 
 EXP_NOISE_SCHEMA = [
@@ -512,25 +520,14 @@ EXP_NOISE_SCHEMA = [
 
 
 def cmd_exp_noise_types(cfg, args):
-    samples = _noise_eval_samples(cfg, "exp_noise")
-    detectors = parse_detectors(cfg["exp_noise.detectors"], cfg["exp_noise.threshold"])
     seed = cfg["exp_noise.seed"]
-    rows = []
-    for kind in im.NOISE_KINDS:
-        corrupted = []
-        for i, sample in enumerate(samples):
-            spec = im.NoiseSpec(kind, im.DEFAULT_MAGNITUDES[kind],
-                                seed=int(np.random.SeedSequence((seed, 0x9C, i)).generate_state(1)[0]))
-            corrupted.append(sd.ShapeSample(im.add_noise(sample.image, spec), sample.points, sample.category))
-        for name, det in detectors.items():
-            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, cfg["exp_noise.eps"])
-            rows.append((kind, name, mapv, mle))
-    with open(cfg["exp_noise.out"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "detector", "map", "mle"])
-        for kind, name, mapv, mle in rows:
-            w.writerow([kind, name, f"{mapv:.6f}", f"{mle:.6f}"])
-    print(f"noise-type table ({len(rows)} rows) -> {cfg['exp_noise.out']}")
+
+    def add(kind, i, image):
+        spec_seed = int(np.random.SeedSequence((seed, 0x9C, i)).generate_state(1)[0])
+        return im.add_noise(image, im.NoiseSpec(kind, im.DEFAULT_MAGNITUDES[kind], seed=spec_seed))
+
+    n = _noise_experiment(cfg, "kind", [(kind, kind) for kind in im.NOISE_KINDS], add)
+    print(f"noise-type table ({n} rows) -> {cfg['exp_noise.out']}")
 
 
 def cmd_exp_square_sweep(cfg, args):

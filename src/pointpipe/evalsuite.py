@@ -46,17 +46,9 @@ class NoFeaturesInRegion(ValueError):
 # detector metrics
 
 
-def correct(p, gt: np.ndarray, eps: float) -> bool:
-    """True iff some ground-truth point lies within eps (inclusive).
-
-    An empty ground-truth set yields False by convention.
-    """
-    gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
-    if len(gt) == 0:
-        return False
-    p = np.asarray(p, dtype=np.float64).ravel()[:2]
-    d = np.hypot(gt[:, 0] - p[0], gt[:, 1] - p[1])
-    return bool(d.min() <= eps)
+def _nearest_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point of ``a`` to its nearest point of ``b`` (x, y only)."""
+    return np.linalg.norm(a[:, None, :2] - b[None, :, :2], axis=2).min(axis=1)
 
 
 def _det_order(dets: np.ndarray) -> np.ndarray:
@@ -108,7 +100,7 @@ def localization_error(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
     if len(gt) == 0 or len(dets) == 0:
         raise NoCorrectDetections("nothing to localize")
-    d = np.linalg.norm(dets[:, None, :2] - gt[None, :, :2], axis=2).min(axis=1)
+    d = _nearest_distance(dets, gt)
     d = d[d <= eps]
     if len(d) == 0:
         raise NoCorrectDetections(f"no detection within {eps} px of ground truth")
@@ -140,12 +132,8 @@ def repeatability(pts1: np.ndarray, pts2: np.ndarray, h: np.ndarray, shape, eps:
         return 0.0
     hits = 0
     if n1 and n2:
-        w1 = geo.apply(h, pts1[:, :2])
-        d1 = np.linalg.norm(w1[:, None, :] - pts2[None, :, :2], axis=2).min(axis=1)
-        hits += int((d1 <= eps).sum())
-        w2 = geo.apply(hinv, pts2[:, :2])
-        d2 = np.linalg.norm(w2[:, None, :] - pts1[None, :, :2], axis=2).min(axis=1)
-        hits += int((d2 <= eps).sum())
+        hits += int((_nearest_distance(geo.apply(h, pts1[:, :2]), pts2) <= eps).sum())
+        hits += int((_nearest_distance(geo.apply(hinv, pts2[:, :2]), pts1) <= eps).sum())
     return hits / float(n1 + n2)
 
 
@@ -200,9 +188,7 @@ def _nn_ap_one_direction(pts_a, desc_a, pts_b, desc_b, h, eps) -> float:
     matched_b = np.asarray(pts_b, dtype=np.float64)[m.idx_b, :2]
     tp = np.linalg.norm(warped - matched_b, axis=1) <= eps
     # recall base: a-points that have any geometric counterpart at all
-    d_any = np.linalg.norm(
-        warped[:, None, :] - np.asarray(pts_b, dtype=np.float64)[None, :, :2], axis=2
-    ).min(axis=1)
+    d_any = _nearest_distance(warped, np.asarray(pts_b, dtype=np.float64))
     possible = int((d_any <= eps).sum())
     if possible == 0:
         raise NoMatches("no geometric correspondence exists within eps")
@@ -377,11 +363,6 @@ def corner_error(h_est: np.ndarray, h_gt: np.ndarray, shape) -> float:
     return float(np.linalg.norm(geo.apply(h_gt, corners) - geo.apply(h_est, corners), axis=1).mean())
 
 
-def homography_correctness(h_est: np.ndarray, h_gt: np.ndarray, shape, eps: float) -> bool:
-    """True iff the mean corner transfer discrepancy is within eps."""
-    return corner_error(h_est, h_gt, shape) <= eps
-
-
 # ---------------------------------------------------------------------------
 # benchmark protocols
 
@@ -407,7 +388,6 @@ class EvalReport:
     mle: float = 0.0
     nn_map: float = 0.0
     matching_score: float = 0.0
-    ap: float = 0.0
     correctness: dict = field(default_factory=dict)  # eps -> rate
     counts: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
@@ -433,9 +413,7 @@ def pair_mle(pts1, pts2, h, eps) -> float | None:
     if len(pts1) == 0 or len(pts2) == 0:
         return None
     warped = geo.apply(h, np.asarray(pts1, dtype=np.float64)[:, :2])
-    d = np.linalg.norm(
-        warped[:, None, :] - np.asarray(pts2, dtype=np.float64)[None, :, :2], axis=2
-    ).min(axis=1)
+    d = _nearest_distance(warped, np.asarray(pts2, dtype=np.float64))
     d = d[d <= eps]
     return float(d.mean()) if len(d) else None
 

@@ -58,11 +58,6 @@ def normalize(h: np.ndarray) -> np.ndarray:
     return h / h[2, 2]
 
 
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Homography equivalent to applying ``b`` first, then ``a``."""
-    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-
-
 def invert(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if abs(np.linalg.det(h)) < DET_EPS:

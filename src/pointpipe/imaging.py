@@ -45,10 +45,6 @@ def as_image(arr) -> np.ndarray:
     return np.clip(np.asarray(arr, dtype=np.float32), 0.0, 1.0)
 
 
-def constant_image(shape, value) -> np.ndarray:
-    return np.full(shape, np.float32(value), dtype=np.float32)
-
-
 # ---------------------------------------------------------------------------
 # interpolation
 
@@ -72,10 +68,6 @@ def bilinear_many(img: np.ndarray, xs, ys) -> np.ndarray:
     top = v00 + (v01 - v00) * fx
     bot = v10 + (v11 - v10) * fx
     return top + (bot - top) * fy
-
-
-def bilinear_sample(img: np.ndarray, x: float, y: float) -> float:
-    return float(bilinear_many(img, [x], [y])[0])
 
 
 def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -111,23 +103,6 @@ def bicubic_many(img: np.ndarray, xs, ys) -> np.ndarray:
             row += wx[i] * img[yj, xi]
         out += wy[j] * row
     return out
-
-
-def bicubic_sample(img: np.ndarray, x: float, y: float) -> float:
-    return float(bicubic_many(img, [x], [y])[0])
-
-
-def resize_bilinear(img: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Resample to a new H x W grid, aligning corner pixel centers."""
-    img = np.asarray(img)
-    hgt, wdt = img.shape
-    h2, w2 = shape
-    if (h2, w2) == (hgt, wdt):
-        return img.copy()
-    xs = np.linspace(0.0, wdt - 1, w2) if w2 > 1 else np.array([(wdt - 1) / 2.0])
-    ys = np.linspace(0.0, hgt - 1, h2) if h2 > 1 else np.array([(hgt - 1) / 2.0])
-    xx, yy = np.meshgrid(xs, ys)
-    return bilinear_many(img, xx.ravel(), yy.ravel()).reshape(h2, w2).astype(img.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -140,15 +140,3 @@ def loss_descriptor(desc_a: np.ndarray, desc_b: np.ndarray, s: np.ndarray, cfg: 
     db = (dbn - bn * (bn * dbn).sum(axis=0, keepdims=True)) / b_norms
     return float(loss), da.reshape(desc_a.shape), db.reshape(desc_b.shape)
 
-
-def loss_total(logits_a, logits_b, desc_a, desc_b, labels_a, labels_b, s, cfg: LossConfig):
-    """Detector terms for both views plus lam * descriptor term.
-
-    Single image pair; returns (total, parts, gradients) where parts is
-    (det_a, det_b, desc) and gradients mirrors the four tensor inputs.
-    """
-    la, dla = loss_detector(logits_a, labels_a)
-    lb, dlb = loss_detector(logits_b, labels_b)
-    ld, dda, ddb = loss_descriptor(desc_a, desc_b, s, cfg)
-    total = la + lb + cfg.lam * ld
-    return total, (la, lb, ld), (dla[0], dlb[0], cfg.lam * dda, cfg.lam * ddb)

@@ -129,17 +129,31 @@ class PointNet:
 
     # -- inference helpers ---------------------------------------------------
 
+    # Any image size works: sides that are not multiples of 8 are
+    # replicate-padded on the bottom and right for the network, and the
+    # heatmap is cropped back to the image, so no point lands in the padding.
+
     def heatmap(self, img: np.ndarray) -> np.ndarray:
         """Point-ness probability map for one image (eval mode)."""
-        logits, _ = self.forward(img[None, None, :, :], train=False)
-        return detector_decode(logits)[0].astype(np.float32)
+        hgt, wdt = img.shape
+        logits, _ = self.forward(_pad_to_cells(img)[None, None, :, :], train=False)
+        return detector_decode(logits)[0, :hgt, :wdt].astype(np.float32)
 
     def describe(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(heatmap, normalized descriptor map D x Hc x Wc) for one image."""
-        logits, desc = self.forward(img[None, None, :, :], train=False)
+        """(heatmap, normalized descriptor map D x ceil(H/8) x ceil(W/8)) for one image."""
+        hgt, wdt = img.shape
+        logits, desc = self.forward(_pad_to_cells(img)[None, None, :, :], train=False)
         if desc is None:
             raise EmptyDescriptorMap("model has no descriptor head")
-        return detector_decode(logits)[0].astype(np.float32), normalize_descriptors(desc)[0]
+        return detector_decode(logits)[0, :hgt, :wdt].astype(np.float32), normalize_descriptors(desc)[0]
+
+
+def _pad_to_cells(img: np.ndarray) -> np.ndarray:
+    """Replicate the bottom and right edges up to the next multiple of CELL."""
+    pad = ((0, -img.shape[0] % CELL), (0, -img.shape[1] % CELL))
+    if pad == ((0, 0), (0, 0)):
+        return img
+    return np.pad(img, pad, mode="edge")
 
 
 def infer_arch(state: dict) -> tuple[ArchConfig, bool]:

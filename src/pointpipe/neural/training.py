@@ -33,9 +33,6 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     log_every: int = 100
     checkpoint_every: int = 0
 
@@ -89,7 +86,7 @@ def train_magicpoint(
         loss, dlogits = loss_detector(logits, labels)
         model.store.zero_grad()
         model.backward(dlogits)
-        adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t=it + 1)
+        adam_step(model.store, cfg.lr, t=it + 1)
         if log is not None and (it % cfg.log_every == 0 or it == cfg.iterations - 1):
             log.add(it, loss, loss, 0.0)
         if progress is not None:
@@ -149,7 +146,7 @@ def train_detector_on_labels(
         loss, dlogits = loss_detector(logits, labels)
         model.store.zero_grad()
         model.backward(dlogits)
-        adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t=it + 1)
+        adam_step(model.store, cfg.lr, t=it + 1)
         if log is not None and (it % cfg.log_every == 0 or it == cfg.iterations - 1):
             log.add(it, loss, loss, 0.0)
     return model
@@ -161,29 +158,22 @@ def train_superpoint(
     dataset,
     cfg: TrainConfig,
     loss_cfg: LossConfig = LossConfig(),
-    ranges: geo.HomographyRanges | None = None,
-    freeze_descriptor: bool = False,
     log: LossLog | None = None,
     checkpoint_dir=None,
     progress=None,
 ) -> PointNet:
     """Joint detector + descriptor training on self-labeled images.
 
-    Each step samples a homography per image (training preset by default),
+    Each step samples a homography per image from the training preset,
     builds the warped view and its transported labels, and optimizes the
     pair loss; correspondence grids come from the same homography.
     """
     if not dataset:
         raise EmptyDataset("no labeled images to train on")
-    if ranges is None:
-        ranges = geo.ranges_preset("training")
+    ranges = geo.ranges_preset("training")
     model = PointNet(arch, with_descriptor=True, seed=cfg.seed)
     if base_state:
         model.store.load_state(base_state, strict=False)
-    if freeze_descriptor:
-        for name, p in model.store.params.items():
-            if name.startswith("desc."):
-                p.trainable = False
     b = cfg.batch_size
     for it in range(cfg.iterations):
         rng = _rng(cfg.seed, 0x2B, it)
@@ -213,7 +203,7 @@ def train_superpoint(
                 ddesc[b + j] = scale * db
         model.store.zero_grad()
         model.backward(dlogits, ddesc)
-        adam_step(model.store, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps, t=it + 1)
+        adam_step(model.store, cfg.lr, t=it + 1)
         if log is not None and (it % cfg.log_every == 0 or it == cfg.iterations - 1):
             # report the documented pair loss: both detector terms plus lam * Ld
             log.add(it, 2.0 * det_loss + loss_cfg.lam * desc_loss, 2.0 * det_loss, desc_loss)

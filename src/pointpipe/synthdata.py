@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -540,7 +540,7 @@ class StreamConfig:
 
 
 def sample_at(cfg: StreamConfig, index: int) -> ShapeSample:
-    """Deterministic sample for a stream position; basis of stream()."""
+    """Deterministic sample for a stream position; no two indices share a draw."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
     cats, probs = cfg.category_table()
     cat = cats[int(rng.choice(len(cats), p=probs))]
@@ -548,14 +548,6 @@ def sample_at(cfg: StreamConfig, index: int) -> ShapeSample:
     if cfg.noise:
         sample.image = apply_noise_battery(sample.image, rng)
     return sample
-
-
-def stream(cfg: StreamConfig) -> Iterator[ShapeSample]:
-    """Unbounded deterministic sample sequence; no sample index repeats."""
-    index = 0
-    while True:
-        yield sample_at(cfg, index)
-        index += 1
 
 
 def homographic_augment(sample: ShapeSample, h: np.ndarray) -> ShapeSample:

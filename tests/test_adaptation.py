@@ -3,6 +3,7 @@ import pytest
 
 from pointpipe import adaptation as ad
 from pointpipe import classical as cl
+from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
 from pointpipe import synthdata as sd
 
@@ -66,7 +67,7 @@ class TestAdapt:
         accum = np.ones(img.shape, dtype=np.float64)
         for i in range(1, n):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
-            h = geo.to_pixel_frame(geo.sample_homography(cfg.ranges, rng), img.shape)
+            h = geo.to_pixel_frame(geo.sample_homography(geo.ranges_preset("adaptation"), rng), img.shape)
             hinv = geo.invert(h)
             _, fwd = geo.warp_image(img, h)
             resp = np.where(fwd, 1.0, 0.0).astype(np.float32)
@@ -80,52 +81,20 @@ class TestAdapt:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ad.AdaptConfig(n_homographies=0)
-        with pytest.raises(ValueError):
-            ad.AdaptConfig(scales=(0.5, 1.0))
-        with pytest.raises(ValueError):
-            ad.AdaptConfig(scales=(1.0, 0.5), scale_weights=(1.0,))
 
 
-class TestMultiscale:
-    def test_single_scale_reduces_to_adapt(self):
-        img = sd.render_composite((64, 64), np.random.default_rng(5)).image
-        cfg = ad.AdaptConfig(n_homographies=5, scales=(1.0,))
-        a = ad.adapt_multiscale(harris_detector, img, cfg, seed=11)
-        b = ad.adapt(harris_detector, img, cfg, seed=11)
-        np.testing.assert_array_equal(a, b)
-
-    def test_duplicate_scales_halve(self):
-        img = sd.render_composite((64, 64), np.random.default_rng(6)).image
-        cfg1 = ad.AdaptConfig(n_homographies=4, scales=(1.0,))
-        cfg2 = ad.AdaptConfig(n_homographies=4, scales=(1.0, 1.0), scale_weights=(0.5, 0.5))
-        single = ad.adapt_multiscale(harris_detector, img, cfg1, seed=12)
-        double = ad.adapt_multiscale(harris_detector, img, cfg2, seed=12)
-        np.testing.assert_allclose(double, 0.5 * single, atol=1e-7)
-
-    def test_fine_scale_spike_survives(self):
-        # single-pixel spike visible only at full resolution
-        img = np.zeros((64, 64), dtype=np.float32)
-        img[31, 37] = 1.0
-
-        def spike_detector(im):
-            return np.asarray(im, dtype=np.float32)
-
-        cfg = ad.AdaptConfig(n_homographies=1, scales=(1.0, 0.5))
-        out = ad.adapt_multiscale(spike_detector, img, cfg, seed=13)
-        w = cfg.weights()
-        assert out[31, 37] >= w[0] * 1.0 - 1e-6
-
-    def test_weights_normalized_proportional_to_scale(self):
-        cfg = ad.AdaptConfig(scales=(1.0, 0.75, 0.5))
-        w = cfg.weights()
-        assert w.sum() == pytest.approx(1.0)
-        np.testing.assert_allclose(w, np.array([1.0, 0.75, 0.5]) / 2.25)
+def warp_repeatability(detector, img, h, eps, k):
+    """Repeatability of a detector's top-k points on an image and its warp by h."""
+    warped, _ = geo.warp_image(img, h)
+    pts1 = cl.heatmap_to_points(np.asarray(detector(img)), -np.inf, 4.0, k)
+    pts2 = cl.heatmap_to_points(np.asarray(detector(warped)), -np.inf, 4.0, k)
+    return ev.repeatability(pts1, pts2, h, img.shape, eps)
 
 
 class TestCovarianceRepeatability:
     def test_identity_is_one(self):
         img = sd.render_composite((64, 64), np.random.default_rng(7)).image
-        got = ad.covariance_repeatability(harris_detector, img, geo.identity(), 3.0, 25)
+        got = warp_repeatability(harris_detector, img, geo.identity(), 3.0, 25)
         assert got == 1.0
 
     def test_ideal_covariant_detector(self):
@@ -149,13 +118,13 @@ class TestCovarianceRepeatability:
                     hm[yi, xi] = 1.0
             return hm
 
-        got = ad.covariance_repeatability(gt_heatmap, sample.image, h, 3.0, k=len(spread))
+        got = warp_repeatability(gt_heatmap, sample.image, h, 3.0, k=len(spread))
         assert got == 1.0
 
     def test_harris_translation_exact(self):
         img = step_corner()
         h = geo.translation(10.0, 0.0)
-        got = ad.covariance_repeatability(harris_detector, img, h, 3.0, k=1)
+        got = warp_repeatability(harris_detector, img, h, 3.0, k=1)
         assert got == 1.0
 
 

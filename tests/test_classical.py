@@ -100,9 +100,8 @@ class TestFast:
     def test_matches_bruteforce_segment_test(self):
         rng = np.random.default_rng(4)
         img = rng.random((24, 24)).astype(np.float32)
-        params = cl.DetectorParams()
-        t = np.float32(params.fast_threshold)
-        arc = params.fast_arc
+        t = np.float32(cl.FAST_THRESHOLD)
+        arc = cl.FAST_ARC
         oracle = []
         for y in range(3, 21):
             for x in range(3, 21):
@@ -116,7 +115,7 @@ class TestFast:
                 if best > 0:
                     oracle.append([float(x), float(y), float(best)])
         expect = cl.nms(np.asarray(oracle).reshape(-1, 3), 3.0)
-        got = cl.fast(img, params)
+        got = cl.fast(img)
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
@@ -189,10 +188,3 @@ class TestHeatmapToPoints:
         pts = cl.heatmap_to_points(hm, 0.5, 0.0, 0)
         assert len(pts) == 12
 
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            cl.DetectorParams(harris_k=0.3)
-        with pytest.raises(ValueError):
-            cl.DetectorParams(fast_arc=8)

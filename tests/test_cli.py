@@ -113,13 +113,20 @@ class TestSynthCommand:
         assert run(["synth-dump", "--out", str(out), "--count", "1"]) == 0
         assert (out / "000000.pgm").exists()
 
-    def test_golden_run_byte_identical(self, tmp_path):
+    def test_golden_run_byte_identical(self, tmp_path, tiny_chain):
         a = tmp_path / "a"
         b = tmp_path / "b"
         argv = ["synth", "--count", "6", "--seed", "11", "--deterministic"]
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert dir_bytes(a) == dir_bytes(b)
+        # the whole chain again, single-threaded, in a fresh directory
+        again = tmp_path / "chain"
+        again.mkdir()
+        run_chain(again, ["--deterministic"])
+        for name in ("mp.spw", "sp.spw", "report.csv"):
+            assert (again / name).read_bytes() == (tiny_chain / name).read_bytes(), name
+        assert dir_bytes(again / "labels" / "round_1") == dir_bytes(tiny_chain / "labels" / "round_1")
 
     def test_points_match_images(self, tmp_path):
         out = tmp_path / "data"
@@ -131,10 +138,8 @@ class TestSynthCommand:
             np.testing.assert_allclose(img, sample.image, atol=0.5 / 255 + 1e-6)
 
 
-@pytest.fixture(scope="module")
-def tiny_chain(tmp_path_factory):
-    """One small end-to-end run shared by the composition tests."""
-    root = tmp_path_factory.mktemp("chain")
+def run_chain(root, extra=()):
+    """Run the small end-to-end chain with its config file in root."""
     cfg = root / "run.cfg"
     cfg.write_text(
         "\n".join(
@@ -169,8 +174,21 @@ def tiny_chain(tmp_path_factory):
         + "\n"
     )
     for cmd in ["synth", "train-magicpoint", "adapt-label", "train-superpoint", "eval-matching"]:
-        assert run([cmd, "--config", str(cfg)]) == 0, cmd
+        assert run([cmd, "--config", str(cfg), *extra]) == 0, cmd
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tmp_path_factory):
+    """One small end-to-end run shared by the composition tests."""
+    root = tmp_path_factory.mktemp("chain")
+    run_chain(root)
     return root
+
+
+def odd_sized_image(path):
+    """A 75 x 100 composite: neither side is a multiple of 8."""
+    im.write_pgm(path, sd.render_composite((75, 100), np.random.default_rng(8)).image)
+    return path
 
 
 class TestPipelineComposition:
@@ -195,6 +213,16 @@ class TestPipelineComposition:
         assert (out / "000000.pts").exists()
         assert (out / "000000_overlay.pgm").exists()
 
+    def test_detect_any_image_size(self, tiny_chain, tmp_path):
+        out = tmp_path / "det"
+        image = odd_sized_image(tmp_path / "odd.pgm")
+        assert run(["detect", "--input", str(image), "--weights", str(tiny_chain / "mp.spw"),
+                    "--out", str(out)]) == 0
+        pts = sd.read_points(out / "odd.pts")
+        assert len(pts)
+        assert pts[:, 0].min() >= 0 and pts[:, 0].max() <= 99
+        assert pts[:, 1].min() >= 0 and pts[:, 1].max() <= 74
+
     def test_detect_classical(self, tiny_chain, tmp_path):
         out = tmp_path / "det_fast"
         assert run(["detect", "--input", str(tiny_chain / "data"), "--weights", "fast",
@@ -211,6 +239,17 @@ class TestPipelineComposition:
         assert (out / "matches.csv").exists()
         assert (out / "estimated.htxt").exists()
         assert (out / "side_by_side.pgm").exists()
+
+    def test_match_any_image_size(self, tiny_chain, tmp_path):
+        out = tmp_path / "match"
+        image = odd_sized_image(tmp_path / "odd.pgm")
+        assert run(["match", "--weights", str(tiny_chain / "sp.spw"), "--image-a", str(image),
+                    "--image-b", str(image), "--out", str(out)]) == 0
+        rows = np.loadtxt(out / "matches.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows)
+        xs, ys = rows[:, [2, 4]], rows[:, [3, 5]]
+        assert xs.min() >= 0 and xs.max() <= 99
+        assert ys.min() >= 0 and ys.max() <= 74
 
     def test_eval_detector_command(self, tiny_chain, tmp_path):
         out = tmp_path / "report.csv"

@@ -165,17 +165,24 @@ def random_instance(rng, n_max=50, shape=(64, 64)):
 
 
 class TestCorrect:
+    """A detection is correct within eps of some ground truth, boundary inclusive."""
+
+    origin = np.array([[0.0, 0.0, 1.0]])
+
     def test_on_gt_point(self):
-        assert ev.correct((3.0, 4.0), np.array([[3.0, 4.0, 1.0]]), 3.0)
+        assert ev.localization_error(np.array([[3.0, 4.0, 1.0]]), np.array([[3.0, 4.0, 1.0]]), 3.0) == 0.0
 
     def test_boundary_inclusive(self):
-        assert ev.correct((0.0, 0.0), np.array([[3.0, 0.0]]), 3.0)
+        assert ev.localization_error(self.origin, np.array([[3.0, 0.0]]), 3.0) == 3.0
 
     def test_three_four_five(self):
-        assert not ev.correct((0.0, 0.0), np.array([[3.0, 4.0]]), 4.0)
+        with pytest.raises(ev.NoCorrectDetections):
+            ev.localization_error(self.origin, np.array([[3.0, 4.0]]), 4.0)
+        assert ev.localization_error(self.origin, np.array([[3.0, 4.0]]), 5.0) == 5.0
 
     def test_empty_gt_false(self):
-        assert not ev.correct((0.0, 0.0), np.zeros((0, 3)), 10.0)
+        with pytest.raises(ev.NoCorrectDetections):
+            ev.localization_error(self.origin, np.zeros((0, 3)), 10.0)
 
 
 class TestAveragePrecision:
@@ -504,15 +511,16 @@ class TestEstimateHomography:
 
 
 class TestHomographyCorrectness:
+    """An estimate counts as correct at eps when its mean corner error is <= eps."""
+
     def test_exact(self):
         h = geo.translation(3.0, -2.0)
-        assert ev.homography_correctness(h, h, (48, 64), 0.001)
+        assert ev.corner_error(h, h, (48, 64)) == 0.0
 
     def test_two_px_translation(self):
         h_gt = geo.identity()
         h_est = geo.translation(2.0, 0.0)
-        assert not ev.homography_correctness(h_est, h_gt, (48, 64), 1.0)
-        assert ev.homography_correctness(h_est, h_gt, (48, 64), 3.0)
+        assert ev.corner_error(h_est, h_gt, (48, 64)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestBenchmarks:

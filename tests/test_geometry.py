@@ -61,10 +61,10 @@ class TestApply:
 
 class TestComposeInvert:
     def test_compose_identity(self):
-        np.testing.assert_array_equal(geo.compose(geo.identity(), geo.identity()), geo.identity())
+        np.testing.assert_array_equal(geo.identity() @ geo.identity(), geo.identity())
 
     def test_compose_translations(self):
-        got = geo.compose(geo.translation(1, 0), geo.translation(0, 1))
+        got = geo.translation(1, 0) @ geo.translation(0, 1)
         np.testing.assert_allclose(got, geo.translation(1, 1), atol=0)
 
     def test_invert_identity(self):
@@ -82,7 +82,7 @@ class TestComposeInvert:
         ranges = geo.ranges_preset("adaptation")
         for _ in range(1000):
             h = geo.sample_homography(ranges, rng)
-            got = geo.normalize(geo.compose(h, geo.invert(h)))
+            got = geo.normalize(h @ geo.invert(h))
             np.testing.assert_allclose(got, geo.identity(), atol=1e-9)
 
     def test_invert_roundtrips_corners(self):
@@ -101,8 +101,8 @@ class TestComposeInvert:
             a = geo.sample_homography(ranges, rng)
             b = geo.sample_homography(ranges, rng)
             c = geo.sample_homography(ranges, rng)
-            lhs = geo.normalize(geo.compose(geo.compose(a, b), c))
-            rhs = geo.normalize(geo.compose(a, geo.compose(b, c)))
+            lhs = geo.normalize((a @ b) @ c)
+            rhs = geo.normalize(a @ (b @ c))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_compose_matches_sequential_apply(self):
@@ -113,7 +113,7 @@ class TestComposeInvert:
             a = geo.sample_homography(ranges, rng)
             b = geo.sample_homography(ranges, rng)
             np.testing.assert_allclose(
-                geo.apply(geo.compose(a, b), pts), geo.apply(a, geo.apply(b, pts)), atol=1e-9
+                geo.apply(a @ b, pts), geo.apply(a, geo.apply(b, pts)), atol=1e-9
             )
 
 

@@ -11,18 +11,18 @@ class TestBilinear:
         for _ in range(30):
             x = int(rng.integers(0, 11))
             y = int(rng.integers(0, 9))
-            assert im.bilinear_sample(img, x, y) == pytest.approx(float(img[y, x]), abs=1e-7)
+            assert im.bilinear_many(img, [x], [y])[0] == pytest.approx(float(img[y, x]), abs=1e-7)
 
     def test_constant_everywhere(self):
-        img = im.constant_image((8, 8), 0.37)
+        img = np.full((8, 8), 0.37, dtype=np.float32)
         rng = np.random.default_rng(1)
         for _ in range(20):
             x, y = rng.uniform(-2, 9, 2)
-            assert im.bilinear_sample(img, x, y) == pytest.approx(0.37, abs=1e-7)
+            assert im.bilinear_many(img, [x], [y])[0] == pytest.approx(0.37, abs=1e-7)
 
     def test_two_pixel_blend(self):
         img = np.array([[0.0, 1.0]], dtype=np.float32)
-        assert im.bilinear_sample(img, 0.25, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert im.bilinear_many(img, [0.25], [0.0])[0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestBicubic:
@@ -32,14 +32,14 @@ class TestBicubic:
         for _ in range(30):
             x = int(rng.integers(0, 10))
             y = int(rng.integers(0, 10))
-            assert im.bicubic_sample(img, x, y) == pytest.approx(float(img[y, x]), abs=1e-12)
+            assert im.bicubic_many(img, [x], [y])[0] == pytest.approx(float(img[y, x]), abs=1e-12)
 
     def test_constant_everywhere(self):
-        img = im.constant_image((8, 8), 0.61)
+        img = np.full((8, 8), 0.61, dtype=np.float32)
         rng = np.random.default_rng(3)
         for _ in range(20):
             x, y = rng.uniform(0, 7, 2)
-            assert im.bicubic_sample(img, x, y) == pytest.approx(0.61, abs=1e-6)
+            assert im.bicubic_many(img, [x], [y])[0] == pytest.approx(0.61, abs=1e-6)
 
     def test_reproduces_linear_ramp(self):
         # Catmull-Rom interpolates degree-1 polynomials exactly (interior).
@@ -49,15 +49,15 @@ class TestBicubic:
         for _ in range(50):
             x = rng.uniform(1.0, 10.0)
             y = rng.uniform(1.0, 10.0)
-            assert im.bicubic_sample(img, x, y) == pytest.approx(0.03 * x + 0.05 * y, abs=1e-6)
+            assert im.bicubic_many(img, [x], [y])[0] == pytest.approx(0.03 * x + 0.05 * y, abs=1e-6)
 
     def test_matches_bilinear_at_integers(self):
         rng = np.random.default_rng(5)
         img = rng.random((7, 7)).astype(np.float32)
         for y in range(7):
             for x in range(7):
-                assert im.bicubic_sample(img, x, y) == pytest.approx(
-                    im.bilinear_sample(img, x, y), abs=1e-6
+                assert im.bicubic_many(img, [x], [y])[0] == pytest.approx(
+                    im.bilinear_many(img, [x], [y])[0], abs=1e-6
                 )
 
 
@@ -70,12 +70,12 @@ class TestNoise:
             np.testing.assert_array_equal(out, img)
 
     def test_brightness_shift(self):
-        img = im.constant_image((8, 8), 0.5)
+        img = np.full((8, 8), 0.5, dtype=np.float32)
         out = im.add_noise(img, im.NoiseSpec("brightness_shift", 0.1))
         np.testing.assert_allclose(out, 0.6, atol=1e-7)
 
     def test_gaussian_statistics(self):
-        img = im.constant_image((128, 128), 0.5)
+        img = np.full((128, 128), 0.5, dtype=np.float32)
         out = im.add_noise(img, im.NoiseSpec("gaussian_additive", 0.05, seed=42))
         assert abs(float(out.mean()) - 0.5) < 0.01
         assert abs(float(out.std()) - 0.05) < 0.01
@@ -95,7 +95,7 @@ class TestNoise:
             assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_salt_pepper_fraction(self):
-        img = im.constant_image((100, 100), 0.5)
+        img = np.full((100, 100), 0.5, dtype=np.float32)
         out = im.add_noise(img, im.NoiseSpec("salt_pepper", 0.1, seed=5))
         changed = np.count_nonzero(out != 0.5)
         assert 700 < changed < 1300
@@ -107,7 +107,7 @@ class TestNoise:
         np.testing.assert_allclose(out, [[0.35, 0.65]], atol=1e-7)
 
     def test_random_erase_zeroes_bounded_area(self):
-        img = im.constant_image((50, 50), 0.9)
+        img = np.full((50, 50), 0.9, dtype=np.float32)
         out = im.add_noise(img, im.NoiseSpec("random_erase", 0.05, seed=11))
         assert np.count_nonzero(out == 0.0) <= 0.05 * 2500 + 1
 
@@ -171,27 +171,35 @@ class TestPgm:
 
 
 class TestResize:
+    """Resampling onto a grid whose corner pixel centers align with the source's."""
+
+    @staticmethod
+    def resize(img, shape):
+        h2, w2 = shape
+        xx, yy = np.meshgrid(np.linspace(0.0, img.shape[1] - 1, w2), np.linspace(0.0, img.shape[0] - 1, h2))
+        return im.bilinear_many(img, xx.ravel(), yy.ravel()).reshape(shape)
+
     def test_identity(self):
         rng = np.random.default_rng(12)
         img = rng.random((8, 8)).astype(np.float32)
-        np.testing.assert_array_equal(im.resize_bilinear(img, (8, 8)), img)
+        np.testing.assert_array_equal(self.resize(img, (8, 8)), img)
 
     def test_downsample_constant(self):
-        img = im.constant_image((16, 16), 0.4)
-        out = im.resize_bilinear(img, (8, 8))
+        img = np.full((16, 16), 0.4, dtype=np.float32)
+        out = self.resize(img, (8, 8))
         np.testing.assert_allclose(out, 0.4, atol=1e-6)
 
     def test_corners_align(self):
         rng = np.random.default_rng(13)
         img = rng.random((9, 9)).astype(np.float32)
-        out = im.resize_bilinear(img, (5, 5))
+        out = self.resize(img, (5, 5))
         assert out[0, 0] == pytest.approx(float(img[0, 0]), abs=1e-6)
         assert out[-1, -1] == pytest.approx(float(img[-1, -1]), abs=1e-6)
 
 
 class TestOverlay:
     def test_draws_cross(self):
-        img = im.constant_image((11, 11), 0.0)
+        img = np.full((11, 11), 0.0, dtype=np.float32)
         out = im.overlay_points(img, np.array([[5.0, 5.0, 1.0]]))
         assert out[5, 5] == 1.0
         assert out[5, 2] == 1.0 and out[5, 8] == 1.0

@@ -12,7 +12,6 @@ from pointpipe.neural.losses import (
     correspondences,
     loss_descriptor,
     loss_detector,
-    loss_total,
 )
 from pointpipe.neural.ops import ShapeMismatch
 
@@ -190,32 +189,7 @@ class TestLossDescriptor:
 
 
 class TestLossTotal:
-    def make_inputs(self, rng, hc=3, wc=3, c=6):
-        logits_a = rng.normal(size=(65, hc, wc))
-        logits_b = rng.normal(size=(65, hc, wc))
-        desc_a = rng.normal(size=(c, hc, wc))
-        desc_b = rng.normal(size=(c, hc, wc))
-        labels_a = rng.integers(0, 65, (hc, wc))
-        labels_b = rng.integers(0, 65, (hc, wc))
-        s = (rng.random((hc * wc, hc * wc)) < 0.2).astype(np.float32)
-        return logits_a, logits_b, desc_a, desc_b, labels_a, labels_b, s
-
-    def test_lambda_zero_is_detector_only(self):
-        rng = np.random.default_rng(6)
-        xa, xb, da, db, ya, yb, s = self.make_inputs(rng)
-        cfg = LossConfig(lam=0.0)
-        total, parts, _ = loss_total(xa, xb, da, db, ya, yb, s, cfg)
-        assert total == pytest.approx(parts[0] + parts[1], abs=1e-12)
-
-    def test_composes_from_parts(self):
-        rng = np.random.default_rng(7)
-        xa, xb, da, db, ya, yb, s = self.make_inputs(rng)
-        cfg = LossConfig()
-        total, parts, _ = loss_total(xa, xb, da, db, ya, yb, s, cfg)
-        la, _ = loss_detector(xa, ya)
-        lb, _ = loss_detector(xb, yb)
-        ld, _, _ = loss_descriptor(da, db, s, cfg)
-        assert total == pytest.approx(la + lb + cfg.lam * ld, rel=1e-7)
+    """Constants of the pair loss: detector terms plus lam times the descriptor term."""
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

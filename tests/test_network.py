@@ -51,6 +51,27 @@ class TestShapes:
             ArchConfig(detector_out=64)
 
 
+class TestAnyImageSize:
+    def test_divisible_heatmap_unpadded(self):
+        model = PointNet(MICRO, with_descriptor=True, seed=2)
+        img = np.random.default_rng(1).random((96, 96)).astype(np.float32)
+        logits, desc = model.forward(img[None, None], train=False)
+        want = detector_decode(logits)[0]
+        np.testing.assert_array_equal(model.heatmap(img), want)
+        heat, dmap = model.describe(img)
+        np.testing.assert_array_equal(heat, want)
+        np.testing.assert_array_equal(dmap, normalize_descriptors(desc)[0])
+
+    def test_indivisible_padded_by_edge_replication(self):
+        model = PointNet(MICRO, with_descriptor=True, seed=3)
+        img = np.random.default_rng(2).random((75, 100)).astype(np.float32)
+        padded = np.pad(img, ((0, 5), (0, 4)), mode="edge")
+        heat, dmap = model.describe(img)
+        assert heat.shape == (75, 100) and dmap.shape == (32, 10, 13)
+        np.testing.assert_array_equal(heat, model.heatmap(padded)[:75, :100])
+        np.testing.assert_array_equal(model.heatmap(img), heat)
+
+
 class TestDecode:
     def test_uniform_logits_give_uniform_heatmap(self):
         logits = np.zeros((1, 65, 3, 4), dtype=np.float32)

@@ -81,20 +81,17 @@ class TestRenderSample:
 class TestStream:
     def test_same_seed_identical_prefix(self):
         cfg = sd.StreamConfig(seed=7)
-        s1 = sd.stream(cfg)
-        s2 = sd.stream(cfg)
-        for _ in range(20):
-            a = next(s1)
-            b = next(s2)
+        for i in range(20):
+            a = sd.sample_at(cfg, i)
+            b = sd.sample_at(cfg, i)
             np.testing.assert_array_equal(a.image, b.image)
             np.testing.assert_array_equal(a.points, b.points)
             assert a.category == b.category
 
     def test_pure_mix(self):
         cfg = sd.StreamConfig(mix={sd.ShapeCategory.QUADRILATERAL: 1.0}, seed=3, noise=False)
-        it = sd.stream(cfg)
-        for _ in range(10):
-            assert next(it).category is sd.ShapeCategory.QUADRILATERAL
+        for i in range(10):
+            assert sd.sample_at(cfg, i).category is sd.ShapeCategory.QUADRILATERAL
 
     def test_uniform_mix_frequencies(self):
         # multinomial: sd of each count ~ sqrt(n p (1-p)); 3 sigma bound
@@ -107,14 +104,6 @@ class TestStream:
         bound = 3.0 * np.sqrt(n * p * (1 - p))
         for c, k in counts.items():
             assert abs(k - n * p) <= bound, (c, k)
-
-    def test_sample_at_matches_stream(self):
-        cfg = sd.StreamConfig(seed=21)
-        it = sd.stream(cfg)
-        for i in range(5):
-            a = next(it)
-            b = sd.sample_at(cfg, i)
-            np.testing.assert_array_equal(a.image, b.image)
 
 
 class TestHomographicAugment:

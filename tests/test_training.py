@@ -5,7 +5,6 @@ from pointpipe import synthdata as sd
 from pointpipe.neural import (
     ARCH_PRESETS,
     EmptyDataset,
-    LossConfig,
     MissingGradient,
     ParamStore,
     PointNet,
@@ -154,17 +153,6 @@ class TestTrainSuperpoint:
         m2 = train_superpoint(None, MICRO, data, cfg)
         for name in m1.store.names():
             np.testing.assert_array_equal(m1.store[name].data, m2.store[name].data)
-
-    def test_frozen_descriptor_head_stays_at_init(self):
-        data = labeled_dataset()
-        cfg = TrainConfig(iterations=2, batch_size=2, seed=9)
-        model = train_superpoint(
-            None, MICRO, data, cfg, loss_cfg=LossConfig(lam=0.0), freeze_descriptor=True
-        )
-        fresh = PointNet(MICRO, with_descriptor=True, seed=9)
-        for name in model.store.names():
-            if name.startswith("desc.") and "running" not in name:
-                np.testing.assert_array_equal(model.store[name].data, fresh.store[name].data)
 
     def test_detector_reduction_matches_magicpoint_step(self):
         """With lam=0, duplicated identity views, and a frozen descriptor
