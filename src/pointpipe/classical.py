@@ -15,6 +15,7 @@ HARRIS_K = 0.04
 WINDOW_SIGMA = 1.0  # px, Gaussian structure-tensor window
 FAST_THRESHOLD = 0.08  # intensity units in [0,1]
 FAST_ARC = 9  # contiguous circle pixels required
+_NMS_CHUNK = 4096  # candidates converted to Python floats at a time
 
 
 class ImageTooSmall(ValueError):
@@ -112,8 +113,12 @@ def nms(points: np.ndarray, radius: float) -> np.ndarray:
 
     Candidates are visited by descending confidence (ties broken by
     ascending (y, x)); one is accepted iff no already-accepted point lies
-    within ``radius``.  Output order is acceptance order, which makes the
-    result independent of input order.
+    within ``radius`` (``dx*dx + dy*dy <= radius**2`` in float64, so a
+    coordinate that is NaN is within radius of nothing).  Output
+    order is acceptance order, which makes the result independent of input
+    order.  Accepted points are kept in a dict of radius-sized grid cells,
+    so each candidate is tested against at most 9 cells, not against every
+    accepted point.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
@@ -122,17 +127,39 @@ def nms(points: np.ndarray, radius: float) -> np.ndarray:
     pts = points[order]
     if radius <= 0:
         return pts
-    accepted = np.empty_like(pts)
-    n_acc = 0
-    r2 = radius * radius
-    for p in pts:
-        if n_acc:
-            d2 = (accepted[:n_acc, 0] - p[0]) ** 2 + (accepted[:n_acc, 1] - p[1]) ** 2
-            if d2.min() <= r2:
+    r2 = float(radius * radius)
+    # A cell is a radius wide plus 2**-20 of it, so a pair that passes the
+    # rounded distance test is never two cells apart; the 1e-150 floor
+    # covers radii whose square underflows, and a radius whose square may
+    # overflow gets one infinite cell.  Clipping indices at +-2**30 keeps the
+    # margin above the rounding of x / cell and puts non-finite coordinates
+    # in some cell: sharing a cell only adds exact tests.
+    cell = math.inf if radius > 1e150 else max(float(radius) * (1.0 + 2.0**-20), 1e-150)
+    neighbours = [(di << 32) + dj for di in (0, -1, 1) for dj in (0, -1, 1)]
+    grid: dict[int, list] = {}
+    kept = []
+    for start in range(0, len(pts), _NMS_CHUNK):
+        # bounded chunks: the loop is scalar Python, its temporaries stay small
+        xy = pts[start : start + _NMS_CHUNK, :2]
+        ij = np.nan_to_num(np.floor(xy / cell), nan=0.0)
+        ij = np.clip(ij, -(2.0**30), 2.0**30).astype(np.int64)
+        keys = ((ij[:, 0] << 32) + ij[:, 1]).tolist()
+        for i, (x, y, key) in enumerate(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), keys), start):
+            if _suppressed(grid, key, neighbours, x, y, r2):
                 continue
-        accepted[n_acc] = p
-        n_acc += 1
-    return accepted[:n_acc].copy()
+            grid.setdefault(key, []).append((x, y))
+            kept.append(i)
+    return pts[kept]
+
+
+def _suppressed(grid, key, neighbours, x, y, r2) -> bool:
+    for offset in neighbours:
+        for ax, ay in grid.get(key + offset, ()):
+            dx = ax - x
+            dy = ay - y
+            if dx * dx + dy * dy <= r2:
+                return True
+    return False
 
 
 def heatmap_to_points(

@@ -337,12 +337,11 @@ def cmd_detect(cfg, args):
     out = cfg["detect.out"]
     os.makedirs(out, exist_ok=True)
     detector = candidate_detector(cfg["detect.weights"], cfg["detect.threshold"])
+    protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
 
     def work(path):
         image = im.read_pgm(path)
-        pts = cl.nms(detector(image), cfg["detect.nms"])
-        if cfg["detect.top_k"] and len(pts) > cfg["detect.top_k"]:
-            pts = pts[: cfg["detect.top_k"]]
+        pts = ev.select_points(detector(image), protocol)
         stem = os.path.splitext(os.path.basename(path))[0]
         sd.write_points(os.path.join(out, stem + ".pts"), pts)
         im.write_pgm(os.path.join(out, stem + "_overlay.pgm"), im.overlay_points(image, pts))

@@ -40,6 +40,10 @@ class DimensionMismatch(ValueError):
     pass
 
 
+class TruncatedFile(ValueError):
+    """A file ends before a field its header or layout promises."""
+
+
 def as_image(arr) -> np.ndarray:
     """Clamp to [0,1] float32."""
     return np.clip(np.asarray(arr, dtype=np.float32), 0.0, 1.0)
@@ -246,23 +250,33 @@ def read_pgm(path) -> np.ndarray:
     # Header: magic, width, height, maxval; '#' comments allowed between tokens.
     tokens = []
     pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":
+    for field in ("magic", "width", "height", "maxval"):
+        while True:
+            while pos < len(raw) and raw[pos : pos + 1].isspace():
+                pos += 1
+            if raw[pos : pos + 1] != b"#":
+                break
             while pos < len(raw) and raw[pos : pos + 1] not in (b"\n", b"\r"):
                 pos += 1
-            continue
+        if pos >= len(raw):
+            raise TruncatedFile(f"{path}: PGM header ends at byte {pos}, before the {field}")
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         tokens.append(raw[start:pos])
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (P5) file")
+        if field == "magic" and tokens[0] != b"P5":
+            raise ValueError(f"{path}: not a binary PGM (P5) file")
+        if field != "magic" and not tokens[-1].isdigit():
+            raise ValueError(f"{path}: PGM {field} at byte {start} is {tokens[-1]!r}, not a number")
     wdt, hgt, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
+    if len(raw) - pos < hgt * wdt:
+        raise TruncatedFile(
+            f"{path}: PGM pixel data from byte {pos} needs {hgt * wdt} bytes for {wdt}x{hgt}, "
+            f"but the file ends at byte {len(raw)}"
+        )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=hgt * wdt, offset=pos)
     return (pixels.reshape(hgt, wdt).astype(np.float32)) / 255.0
 

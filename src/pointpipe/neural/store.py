@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 
+from ..imaging import TruncatedFile
+
 
 class MissingGradient(RuntimeError):
     pass
@@ -116,19 +118,25 @@ def load_weights(path) -> dict[str, np.ndarray]:
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a weight file (bad magic)")
+    view = memoryview(raw)
     state = {}
     pos = 4
+
+    def field(size, what):
+        nonlocal pos
+        if len(raw) - pos < size:
+            raise TruncatedFile(
+                f"{path}: {what} at byte {pos} needs {size} bytes, but the file ends at byte {len(raw)}"
+            )
+        pos += size
+        return view[pos - size : pos]
+
     while pos < len(raw):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, pos)
-        pos += 4 * rank
+        (nlen,) = struct.unpack("<H", field(2, f"name length of tensor {len(state)}"))
+        name = bytes(field(nlen, f"name of tensor {len(state)}")).decode("utf-8")
+        (rank,) = struct.unpack("<B", field(1, f"rank of tensor {name!r}"))
+        dims = struct.unpack(f"<{rank}I", field(4 * rank, f"shape of tensor {name!r}"))
         count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=pos).reshape(dims)
-        pos += 4 * count
+        arr = np.frombuffer(field(4 * count, f"payload of tensor {name!r}"), dtype="<f4").reshape(dims)
         state[name] = arr.copy()
     return state

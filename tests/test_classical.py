@@ -119,6 +119,28 @@ class TestFast:
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
+def nms_scan(points, radius):
+    """Greedy NMS that tests each candidate against every accepted point."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if len(points) == 0:
+        return points.copy()
+    order = np.lexsort((points[:, 0], points[:, 1], -points[:, 2]))
+    pts = points[order]
+    if radius <= 0:
+        return pts
+    accepted = np.empty_like(pts)
+    n_acc = 0
+    r2 = radius * radius
+    for p in pts:
+        if n_acc:
+            d2 = (accepted[:n_acc, 0] - p[0]) ** 2 + (accepted[:n_acc, 1] - p[1]) ** 2
+            if d2.min() <= r2:
+                continue
+        accepted[n_acc] = p
+        n_acc += 1
+    return accepted[:n_acc].copy()
+
+
 class TestNms:
     def test_radius_zero_sorts_only(self):
         pts = np.array([[1.0, 1.0, 0.2], [5.0, 5.0, 0.9], [3.0, 3.0, 0.5]])
@@ -157,6 +179,68 @@ class TestNms:
         out1 = cl.nms(pts, 5.0)
         out2 = cl.nms(pts[::-1], 5.0)
         np.testing.assert_array_equal(out1, out2)
+
+    def assert_matches_scan(self, pts, radius):
+        got = cl.nms(pts, radius)
+        expect = nms_scan(pts, radius)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes(), (radius, len(pts))
+
+    def test_dense_lattice_tied_confidences(self):
+        # every pixel a candidate with a few confidence levels, like Shi-Tomasi;
+        # 5120 candidates span more than one conversion chunk
+        rng = np.random.default_rng(8)
+        ys, xs = np.mgrid[0:64, 0:80]
+        conf = rng.integers(0, 4, xs.size) / 4.0
+        pts = np.stack([xs.ravel(), ys.ravel(), conf], axis=1).astype(np.float64)
+        for radius in (1.0, 2.0, 3.0, 4.0, 8.0):
+            self.assert_matches_scan(pts, radius)
+        self.assert_matches_scan(np.c_[pts[:, :2], np.ones(len(pts))], 4.0)  # all tied
+
+    def test_pairs_exactly_radius_apart_across_cell_borders(self):
+        for radius in (4.0, 2.5, 0.7, 5.0):
+            pts = []
+            for k, base in enumerate((0.0, radius, -radius, 3 * radius, np.nextafter(radius, 0.0))):
+                # horizontal, vertical and 3-4-5 diagonal pairs straddling cell borders
+                pts += [[base, 10.0 * k, 0.9], [base + radius, 10.0 * k, 0.5]]
+                pts += [[100.0 + 10.0 * k, base, 0.9], [100.0 + 10.0 * k, base + radius, 0.5]]
+                y = 200.0 + 10.0 * k
+                pts += [[base, y, 0.9], [base + 0.6 * radius, y + 0.8 * radius, 0.5]]
+            self.assert_matches_scan(np.asarray(pts), radius)
+        # the rounded difference 8 - 3.9999999999999996 is exactly 4: the pair
+        # suppresses although the points lie in cells 0 and 2 of width 4
+        pts = np.array([[3.9999999999999996, 0.0, 0.9], [8.0, 0.0, 0.5]])
+        assert len(cl.nms(pts, 4.0)) == 1
+        self.assert_matches_scan(pts, 4.0)
+
+    def test_negative_and_fractional_coordinates(self):
+        rng = np.random.default_rng(9)
+        for radius in (0.7, 2.5, 4.0):
+            pts = np.stack([rng.uniform(-40, 40, 400), rng.uniform(-30, 30, 400), rng.random(400)], axis=1)
+            self.assert_matches_scan(pts, radius)
+            lattice = np.round(pts * 4.0) / 4.0  # quarter-pixel coordinates with ties
+            self.assert_matches_scan(lattice, radius)
+
+    def test_single_candidate_and_duplicates(self):
+        one = np.array([[-3.5, 2.25, 0.1]])
+        np.testing.assert_array_equal(cl.nms(one, 4.0), one)
+        dup = np.tile([[5.0, 7.0, 0.3]], (50, 1))
+        np.testing.assert_array_equal(cl.nms(dup, 2.5), dup[:1])
+        self.assert_matches_scan(dup, 0.7)
+
+    def test_extreme_radii_and_coordinates(self):
+        rng = np.random.default_rng(10)
+        pts = np.stack([rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), rng.random(200)], axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            for scale, radius in ((1e-200, 1e-200), (1e-195, 1e-200), (1e-160, 1e-200), (1.0, 1e200),
+                                  (1e300, 1e299), (1e300, 4.0), (1e6, 1e-6)):
+                scaled = pts * [scale, scale, 1.0]
+                self.assert_matches_scan(scaled, radius)
+
+    def test_nan_coordinate_is_within_radius_of_nothing(self):
+        pts = np.array([[np.nan, 0.0, 0.9], [0.0, 0.0, 0.8], [1.0, 0.0, 0.7], [np.nan, 0.0, 0.6]])
+        out = cl.nms(pts, 4.0)
+        np.testing.assert_array_equal(out, pts[[0, 1, 3]])
 
 
 class TestHeatmapToPoints:

@@ -9,6 +9,7 @@ from pointpipe import imaging as im
 from pointpipe import synthdata as sd
 from pointpipe.cli import main
 from pointpipe.config import ConfigError, Option, parse_config_file, resolve
+from pointpipe.neural import ARCH_PRESETS, PointNet, save_weights
 
 
 def run(argv):
@@ -89,6 +90,23 @@ class TestExitCodes:
     def test_runtime_error_exits_3(self, tmp_path):
         assert run(["detect", "--input", str(tmp_path / "missing.pgm"),
                     "--weights", "harris", "--out", str(tmp_path / "o")]) == 3
+
+    def test_truncated_files_exit_3_with_offsets(self, tmp_path, capsys):
+        img = tmp_path / "img.pgm"
+        im.write_pgm(img, np.zeros((16, 16), dtype=np.float32))
+        half = tmp_path / "half.pgm"
+        half.write_bytes(img.read_bytes()[:140])
+        five = tmp_path / "five.pgm"
+        five.write_bytes(b"P5\n16")
+        weights = tmp_path / "half.spw"
+        save_weights(weights, PointNet(ARCH_PRESETS["micro"], with_descriptor=False, seed=0).store)
+        weights.write_bytes(weights.read_bytes()[: weights.stat().st_size // 2])
+        cases = [(half, "harris", "pixel data from byte 13"), (five, "harris", "header ends at byte 5"),
+                 (img, str(weights), "of tensor '")]
+        for image, det, expect in cases:
+            assert run(["detect", "--input", str(image), "--weights", det, "--out", str(tmp_path / "o")]) == 3
+            err = capsys.readouterr().err
+            assert "TruncatedFile" in err and expect in err, err
 
     def test_bad_category_exits_2(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "d"), "--count", "1",

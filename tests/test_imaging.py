@@ -169,6 +169,29 @@ class TestPgm:
         with pytest.raises(ValueError):
             im.read_pgm(p)
 
+    def test_truncated_pixel_data_names_file_and_offset(self, tmp_path):
+        p = tmp_path / "half.pgm"
+        im.write_pgm(p, np.zeros((20, 30), dtype=np.float32))
+        header = len(b"P5\n30 20\n255\n")
+        p.write_bytes(p.read_bytes()[: header + 300])
+        with pytest.raises(im.TruncatedFile) as exc:
+            im.read_pgm(p)
+        assert str(exc.value) == (f"{p}: PGM pixel data from byte {header} needs 600 bytes for 30x20, "
+                                  f"but the file ends at byte {header + 300}")
+
+    def test_truncated_header_names_field_and_offset(self, tmp_path):
+        p = tmp_path / "five.pgm"
+        p.write_bytes(b"P5\n3 ")
+        with pytest.raises(im.TruncatedFile) as exc:
+            im.read_pgm(p)
+        assert str(exc.value) == f"{p}: PGM header ends at byte 5, before the height"
+
+    def test_non_numeric_header_field(self, tmp_path):
+        p = tmp_path / "w.pgm"
+        p.write_bytes(b"P5\n# c\nabc 2\n255\n" + bytes(6))
+        with pytest.raises(ValueError, match=r"PGM width at byte 7 is b'abc', not a number"):
+            im.read_pgm(p)
+
 
 class TestResize:
     """Resampling onto a grid whose corner pixel centers align with the source's."""

@@ -97,9 +97,18 @@ class TestStream:
         # multinomial: sd of each count ~ sqrt(n p (1-p)); 3 sigma bound
         n = 3000
         cfg = sd.StreamConfig(seed=11, noise=False)
-        counts = {c: 0 for c in sd.ALL_CATEGORIES}
+        # the category is the first draw of the sample's generator, so it is
+        # drawn here without rendering; a prefix is checked against sample_at
+        cats, probs = cfg.category_table()
+        drawn = []
         for i in range(n):
-            counts[sd.sample_at(cfg, i).category] += 1
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, i)))
+            drawn.append(cats[int(rng.choice(len(cats), p=probs))])
+        for i in range(50):
+            assert sd.sample_at(cfg, i).category is drawn[i]
+        counts = {c: 0 for c in sd.ALL_CATEGORIES}
+        for c in drawn:
+            counts[c] += 1
         p = 1.0 / len(sd.ALL_CATEGORIES)
         bound = 3.0 * np.sqrt(n * p * (1 - p))
         for c, k in counts.items():

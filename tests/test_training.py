@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pointpipe import synthdata as sd
+from pointpipe.imaging import TruncatedFile
 from pointpipe.neural import (
     ARCH_PRESETS,
     EmptyDataset,
@@ -81,6 +82,31 @@ class TestWeightFile:
         path = tmp_path / "bad.spw"
         path.write_bytes(b"nope" + b"\x00" * 16)
         with pytest.raises(ValueError):
+            load_weights(path)
+
+    def test_truncated_payload_names_tensor_and_offset(self, tmp_path):
+        model = PointNet(MICRO, with_descriptor=False, seed=0)
+        path = tmp_path / "w.spw"
+        save_weights(path, model.store)
+        name = model.store.names()[0]
+        shape = model.store[name].data.shape
+        start = 4 + 2 + len(name) + 1 + 4 * len(shape)
+        path.write_bytes(path.read_bytes()[: start + 10])
+        with pytest.raises(TruncatedFile) as exc:
+            load_weights(path)
+        assert str(exc.value) == (f"{path}: payload of tensor {name!r} at byte {start} needs "
+                                  f"{4 * int(np.prod(shape))} bytes, but the file ends at byte {start + 10}")
+
+    def test_half_length_file_is_truncated(self, tmp_path):
+        model = PointNet(MICRO, with_descriptor=True, seed=0)
+        path = tmp_path / "w.spw"
+        save_weights(path, model.store)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(TruncatedFile, match=r"of tensor '.+' at byte \d+ needs \d+ bytes"):
+            load_weights(path)
+        path.write_bytes(raw[:5])
+        with pytest.raises(TruncatedFile, match="name length of tensor 0 at byte 4 needs 2 bytes"):
             load_weights(path)
 
     def test_load_state_shape_check(self):
