@@ -196,7 +196,7 @@ def cmd_train_magicpoint(cfg, args):
     os.makedirs(ckpt_dir, exist_ok=True)
     model = train_magicpoint(
         ARCH_PRESETS[cfg["train_mp.arch"]], stream_cfg, train_cfg, log=log,
-        checkpoint_dir=ckpt_dir if train_cfg.checkpoint_every else None,
+        checkpoint_dir=ckpt_dir,
     )
     save_weights(cfg["train_mp.out"], model.store)
     if cfg["train_mp.log"]:
@@ -232,7 +232,6 @@ def cmd_adapt_label(cfg, args):
     )
     rounds = cfg["adapt.rounds"]
     seed = cfg["adapt.seed"]
-    trained = {}
 
     def retrain(dataset, round_index):
         arch = ARCH_PRESETS[cfg["adapt.arch"]]
@@ -247,7 +246,6 @@ def cmd_adapt_label(cfg, args):
                         seed=seed + round_index),
             size=(crop, crop), base_state=state,
         )
-        trained["model"] = model
         path = os.path.join(cfg["adapt.out"], f"detector_round_{round_index}.spw")
         save_weights(path, model.store)
         return model.heatmap
@@ -334,10 +332,10 @@ TRAIN_SP_SCHEMA = [
 def cmd_detect(cfg, args):
     inp = cfg["detect.input"]
     paths = list_images(inp) if os.path.isdir(inp) else [inp]
+    protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
     out = cfg["detect.out"]
     os.makedirs(out, exist_ok=True)
     detector = candidate_detector(cfg["detect.weights"], cfg["detect.threshold"])
-    protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
 
     def work(path):
         image = im.read_pgm(path)
@@ -623,9 +621,8 @@ def build_parser():
     for name, aliases, help_text, schema, fn in COMMANDS:
         p = sub.add_parser(name, aliases=aliases, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for per-image work")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded, byte-reproducible output")
+        if fn is cmd_detect:
+            p.add_argument("--threads", type=int, default=1, help="worker threads for per-image work")
         for opt in schema:
             p.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help or opt.key)
         p.set_defaults(_schema=schema, _fn=fn)
@@ -643,8 +640,6 @@ def main(argv=None) -> int:
         sections = {opt.key.split(".", 1)[0] for opt in schema}
         cli_values = vars(args)
         cfg = resolve(schema, sections, file_pairs, base_dir, cli_values)
-        if args.deterministic:
-            args.threads = 1
         args._fn(cfg, args)
         return 0
     except ConfigError as exc:

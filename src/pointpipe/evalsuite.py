@@ -369,9 +369,13 @@ def corner_error(h_est: np.ndarray, h_gt: np.ndarray, shape) -> float:
 
 @dataclass(frozen=True)
 class DetectorProtocol:
-    n_points: int = 300
+    n_points: int = 300  # 0 keeps every point
     eps: float = 3.0
     nms_radius: float = 4.0
+
+    def __post_init__(self):
+        if self.n_points < 0:
+            raise ValueError(f"DetectorProtocol.n_points must be >= 0 (0 keeps every point), got {self.n_points}")
 
 
 @dataclass(frozen=True)

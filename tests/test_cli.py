@@ -108,6 +108,33 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "TruncatedFile" in err and expect in err, err
 
+    def test_diverging_training_exits_3_without_weights(self, tmp_path, capsys):
+        out = tmp_path / "m.spw"
+        assert run(["train-magicpoint", "--out", str(out), "--iterations", "30", "--batch", "2",
+                    "--lr", "1e30"]) == 3
+        err = capsys.readouterr().err
+        assert "TrainingDiverged: loss is nan at iteration" in err, err
+        assert "no checkpoint that gave a finite loss and gradients was written" in err, err
+        assert not out.exists()
+
+    def test_negative_point_budget_exits_3(self, tmp_path, capsys):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        commands = [["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o"),
+                     "--top-k", "-1"],
+                    ["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
+                     "--out", str(tmp_path / "r.csv"), "--n-points", "-1"]]
+        for argv in commands:
+            assert run(argv) == 3, argv[0]
+            assert "DetectorProtocol.n_points must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
+
+    @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
+    def test_removed_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
     def test_bad_category_exits_2(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "d"), "--count", "1",
                     "--mix", "dodecahedron:1"]) == 2
@@ -134,15 +161,15 @@ class TestSynthCommand:
     def test_golden_run_byte_identical(self, tmp_path, tiny_chain):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        argv = ["synth", "--count", "6", "--seed", "11", "--deterministic"]
+        argv = ["synth", "--count", "6", "--seed", "11"]
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
         assert dir_bytes(a) == dir_bytes(b)
-        # the whole chain again, single-threaded, in a fresh directory
+        # the whole chain again in a fresh directory
         again = tmp_path / "chain"
         again.mkdir()
-        run_chain(again, ["--deterministic"])
-        for name in ("mp.spw", "sp.spw", "report.csv"):
+        run_chain(again)
+        for name in ("mp.spw", "sp.spw", "mp_loss.csv", "sp_loss.csv", "report.csv"):
             assert (again / name).read_bytes() == (tiny_chain / name).read_bytes(), name
         assert dir_bytes(again / "labels" / "round_1") == dir_bytes(tiny_chain / "labels" / "round_1")
 
@@ -156,7 +183,7 @@ class TestSynthCommand:
             np.testing.assert_allclose(img, sample.image, atol=0.5 / 255 + 1e-6)
 
 
-def run_chain(root, extra=()):
+def run_chain(root):
     """Run the small end-to-end chain with its config file in root."""
     cfg = root / "run.cfg"
     cfg.write_text(
@@ -183,6 +210,7 @@ def run_chain(root, extra=()):
                 "train_sp.iterations = 15",
                 "train_sp.batch = 2",
                 "train_sp.seed = 3",
+                "train_sp.log = sp_loss.csv",
                 "eval_match.weights = sp.spw",
                 "eval_match.count = 3",
                 "eval_match.out = report.csv",
@@ -192,7 +220,7 @@ def run_chain(root, extra=()):
         + "\n"
     )
     for cmd in ["synth", "train-magicpoint", "adapt-label", "train-superpoint", "eval-matching"]:
-        assert run([cmd, "--config", str(cfg), *extra]) == 0, cmd
+        assert run([cmd, "--config", str(cfg)]) == 0, cmd
 
 
 @pytest.fixture(scope="module")
@@ -281,8 +309,7 @@ class TestPipelineComposition:
     def test_train_reproducible_weights(self, tiny_chain, tmp_path):
         out1 = tmp_path / "w1.spw"
         out2 = tmp_path / "w2.spw"
-        argv = ["train-magicpoint", "--iterations", "5", "--batch", "2", "--seed", "9",
-                "--deterministic"]
+        argv = ["train-magicpoint", "--iterations", "5", "--batch", "2", "--seed", "9"]
         assert run(argv + ["--out", str(out1)]) == 0
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

@@ -172,3 +172,39 @@ class TestInferArch:
         arch, with_desc = infer_arch(model.store.state_dict())
         assert arch.encoder_widths == MICRO.encoder_widths
         assert not with_desc
+
+
+class TestWholeNetworkGradient:
+    def test_backward_matches_finite_differences(self):
+        """float64, train mode, both heads: the derivative of sum(logits * r) +
+        sum(desc * s) along a random direction of each trainable tensor and of
+        the input, analytic against central differences."""
+        rng = np.random.default_rng(0)
+        model = PointNet(MICRO, with_descriptor=True, seed=1, dtype=np.float64)
+        x = rng.standard_normal((2, 1, 16, 16))
+        logits, desc = model.forward(x, train=True)
+        r, s = rng.standard_normal(logits.shape), rng.standard_normal(desc.shape)
+        model.store.zero_grad()
+        dx = model.backward(r, s)
+        running = {n: p.data.copy() for n, p in model.store.params.items() if not p.trainable}
+
+        def objective():
+            out_logits, out_desc = model.forward(x, train=True)
+            for n, value in running.items():
+                model.store[n].data = value.copy()
+            return float((out_logits * r).sum() + (out_desc * s).sum())
+
+        h = 1e-6
+        targets = [(n, p.data, p.grad) for n, p in model.store.params.items() if p.trainable] + [("input", x, dx)]
+        assert len(targets) == 35
+        for name, value, grad in targets:
+            direction = rng.standard_normal(value.shape)
+            start = value.copy()
+            value += h * direction
+            plus = objective()
+            value[...] = start - h * direction
+            minus = objective()
+            value[...] = start
+            numeric = (plus - minus) / (2.0 * h)
+            analytic = float((grad * direction).sum())
+            assert abs(numeric - analytic) <= 1e-6 * max(abs(numeric), abs(analytic)), name

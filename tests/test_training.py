@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from pointpipe.neural import (
     train_superpoint,
 )
 from pointpipe.neural.losses import loss_detector
-from pointpipe.neural.training import LossLog, train_detector_on_labels
+from pointpipe.neural.training import LossLog, TrainingDiverged, train_detector_on_labels
 
 MICRO = ARCH_PRESETS["micro"]
 
@@ -220,13 +222,17 @@ class TestTrainSuperpoint:
             np.testing.assert_array_equal(model.store[name].data, base.store[name].data)
 
 
+def composite_dataset(n=2):
+    return [
+        (sd.render_composite((64, 64), np.random.default_rng(i)).image,
+         sd.render_composite((64, 64), np.random.default_rng(i)).points)
+        for i in range(n)
+    ]
+
+
 class TestTrainDetectorOnLabels:
     def test_crop_training_runs_and_is_deterministic(self):
-        data = [
-            (sd.render_composite((64, 64), np.random.default_rng(i)).image,
-             sd.render_composite((64, 64), np.random.default_rng(i)).points)
-            for i in range(2)
-        ]
+        data = composite_dataset()
         cfg = TrainConfig(iterations=2, batch_size=2, seed=14)
         m1 = train_detector_on_labels(MICRO, data, cfg, size=(32, 32))
         m2 = train_detector_on_labels(MICRO, data, cfg, size=(32, 32))
@@ -236,3 +242,48 @@ class TestTrainDetectorOnLabels:
     def test_empty_raises(self):
         with pytest.raises(EmptyDataset):
             train_detector_on_labels(MICRO, [], TrainConfig(iterations=1), size=(32, 32))
+
+    def test_checkpoints_and_progress(self, tmp_path):
+        calls = []
+        cfg = TrainConfig(iterations=4, batch_size=2, seed=14, checkpoint_every=2)
+        model = train_detector_on_labels(MICRO, composite_dataset(), cfg, size=(32, 32),
+                                         checkpoint_dir=str(tmp_path), progress=lambda it, loss: calls.append((it, loss)))
+        assert [it for it, _ in calls] == [0, 1, 2, 3]
+        assert all(np.isfinite(loss) for _, loss in calls)
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint_000002.spw", "checkpoint_000004.spw"]
+        final = load_weights(tmp_path / "checkpoint_000004.spw")
+        for name in model.store.names():
+            np.testing.assert_array_equal(final[name], model.store[name].data)
+
+
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value", [("iterations", -1), ("batch_size", 0), ("log_every", 0), ("checkpoint_every", -1)]
+    )
+    def test_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^TrainConfig\.{field} must be >= \d, got {value}$"):
+            TrainConfig(**{"iterations": 1, field: value})
+
+
+class TestDivergence:
+    def test_nan_pixel_stops_joint_training(self):
+        data = labeled_dataset(n=1)
+        data[0][0][5, 7] = np.nan
+        with pytest.raises(TrainingDiverged, match="^gradient of 'enc0.w' is not finite at iteration 0; no checkpoint"):
+            train_superpoint(None, MICRO, data, TrainConfig(iterations=3, batch_size=2))
+
+    def test_names_last_checkpoint_with_finite_loss(self, tmp_path):
+        data = labeled_dataset()
+
+        def poison_after_step_3(it, loss):
+            if it == 2:
+                for img, _ in data:
+                    img[0, 0] = np.nan
+
+        cfg = TrainConfig(iterations=6, batch_size=2, seed=8, checkpoint_every=1)
+        with pytest.raises(TrainingDiverged) as exc:
+            train_superpoint(None, MICRO, data, cfg, checkpoint_dir=str(tmp_path), progress=poison_after_step_3)
+        # checkpoint 3 holds the weights that met the poisoned batch; 2 is the last that gave a finite step
+        assert str(exc.value) == ("gradient of 'enc0.w' is not finite at iteration 3; the last checkpoint that "
+                                  f"gave a finite loss and gradients is {tmp_path}/checkpoint_000002.spw")
+        assert sorted(os.listdir(tmp_path)) == [f"checkpoint_{k:06d}.spw" for k in (1, 2, 3)]
