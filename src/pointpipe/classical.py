@@ -162,16 +162,20 @@ def _suppressed(grid, key, neighbours, x, y, r2) -> bool:
     return False
 
 
+def threshold_points(heatmap: np.ndarray, threshold: float) -> np.ndarray:
+    """(x, y, response) of every pixel whose response is >= threshold, in row-major order."""
+    hm = np.asarray(heatmap)
+    ys, xs = np.nonzero(hm >= threshold)
+    return np.stack([xs.astype(np.float64), ys.astype(np.float64), hm[ys, xs].astype(np.float64)], axis=1)
+
+
 def heatmap_to_points(
     heatmap: np.ndarray, threshold: float, nms_radius: float, top_k: int = 0
 ) -> np.ndarray:
     """Threshold a response map, suppress, keep the strongest top_k (0 = all)."""
     if top_k < 0:
         raise ValueError("top_k must be >= 0")
-    hm = np.asarray(heatmap)
-    ys, xs = np.nonzero(hm >= threshold)
-    pts = np.stack([xs.astype(np.float64), ys.astype(np.float64), hm[ys, xs].astype(np.float64)], axis=1)
-    pts = nms(pts, nms_radius)
+    pts = nms(threshold_points(heatmap, threshold), nms_radius)
     if top_k and len(pts) > top_k:
         pts = pts[:top_k]
     return pts

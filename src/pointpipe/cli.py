@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import zlib
@@ -62,23 +63,22 @@ def load_model(path) -> PointNet:
 
 
 def candidate_detector(spec: str, threshold: float):
-    """callable(image) -> candidate (N,3) points, before protocol selection."""
-    if spec == "harris":
-        return lambda img: cl.heatmap_to_points(cl.harris(img), 1e-12, 0.0)
-    if spec == "shi":
-        return lambda img: cl.heatmap_to_points(cl.shi_tomasi(img), 1e-12, 0.0)
+    """callable(image) -> candidate (N,3) points in no set order; the protocol's selection ranks them."""
     if spec == "fast":
         return lambda img: cl.fast(img)
-    model = load_model(spec)
-    return lambda img: cl.heatmap_to_points(model.heatmap(img), threshold, 0.0)
+    response = heatmap_detector(spec)
+    if spec in CLASSICAL_NAMES:
+        threshold = 1e-12
+    return lambda img: cl.threshold_points(response(img), threshold)
 
 
 def heatmap_detector(spec: str):
     """callable(image) -> dense response map (for adaptation)."""
+    # looked up per call, so a wrapper installed on the module later (the benchmark's tracer) sees it
     if spec == "harris":
-        return cl.harris
+        return lambda img: cl.harris(img)
     if spec == "shi":
-        return cl.shi_tomasi
+        return lambda img: cl.shi_tomasi(img)
     if spec == "fast":
         raise ConfigError("fast produces points, not a dense map; use harris/shi or weights")
     model = load_model(spec)
@@ -232,18 +232,19 @@ def cmd_adapt_label(cfg, args):
     )
     rounds = cfg["adapt.rounds"]
     seed = cfg["adapt.seed"]
+    # retraining settings are checked before the first round writes anything
+    train_cfg = TrainConfig(iterations=cfg["adapt.train_iterations"], batch_size=cfg["adapt.train_batch"])
 
     def retrain(dataset, round_index):
         arch = ARCH_PRESETS[cfg["adapt.arch"]]
         state = None
         if cfg["adapt.weights"] not in CLASSICAL_NAMES:
+            # read again each round: the model shares these arrays and training updates them in place
             state = load_weights(cfg["adapt.weights"])
             arch, _ = infer_arch(state)
         crop = cfg["adapt.crop"]
         model = train_detector_on_labels(
-            arch, dataset,
-            TrainConfig(iterations=cfg["adapt.train_iterations"], batch_size=cfg["adapt.train_batch"],
-                        seed=seed + round_index),
+            arch, dataset, dataclasses.replace(train_cfg, seed=seed + round_index),
             size=(crop, crop), base_state=state,
         )
         path = os.path.join(cfg["adapt.out"], f"detector_round_{round_index}.spw")
@@ -333,9 +334,9 @@ def cmd_detect(cfg, args):
     inp = cfg["detect.input"]
     paths = list_images(inp) if os.path.isdir(inp) else [inp]
     protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
+    detector = candidate_detector(cfg["detect.weights"], cfg["detect.threshold"])
     out = cfg["detect.out"]
     os.makedirs(out, exist_ok=True)
-    detector = candidate_detector(cfg["detect.weights"], cfg["detect.threshold"])
 
     def work(path):
         image = im.read_pgm(path)
@@ -569,7 +570,7 @@ def cmd_exp_nh_sweep(cfg, args):
         def detector(img, _cfg=adapt_cfg):
             per_image = zlib.crc32(img.tobytes()) ^ seed
             hm = ad.adapt(base, img, _cfg, seed=per_image)
-            return cl.heatmap_to_points(hm, -np.inf, 0.0)
+            return cl.threshold_points(hm, -np.inf)
 
         report = ev.run_detector_benchmark({"adapted": detector}, pairs, protocol, include_random=False)
         rows.append((nh, report["adapted"].repeatability))

@@ -87,9 +87,9 @@ def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def bicubic_many(img: np.ndarray, xs, ys) -> np.ndarray:
-    """16-tap Catmull-Rom sampling with replicated borders."""
+    """16-tap Catmull-Rom sampling of every (..., H, W) plane at the points, giving (..., N); replicated borders."""
     img = np.asarray(img)
-    hgt, wdt = img.shape
+    hgt, wdt = img.shape[-2:]
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     x0 = np.floor(xs).astype(np.intp)
@@ -98,13 +98,13 @@ def bicubic_many(img: np.ndarray, xs, ys) -> np.ndarray:
     fy = ys - y0
     wx = _catmull_rom_weights(fx)
     wy = _catmull_rom_weights(fy)
-    out = np.zeros(xs.shape, dtype=np.float64)
+    out = np.zeros(img.shape[:-2] + xs.shape, dtype=np.float64)
     for j in range(4):
         yj = np.clip(y0 + j - 1, 0, hgt - 1)
-        row = np.zeros(xs.shape, dtype=np.float64)
+        row = np.zeros_like(out)
         for i in range(4):
             xi = np.clip(x0 + i - 1, 0, wdt - 1)
-            row += wx[i] * img[yj, xi]
+            row += wx[i] * img[..., yj, xi]
         out += wy[j] * row
     return out
 

@@ -91,9 +91,9 @@ class PointNet:
         self._check_input(x)
         x = np.ascontiguousarray(x, dtype=self.store.dtype)
         for i, (conv, bn, relu) in enumerate(self.encoder):
-            x = relu.forward(bn.forward(conv.forward(x), train))
+            x = relu.forward(bn.forward(conv.forward(x, train), train), train)
             if i in self.pools:
-                x = self.pools[i].forward(x)
+                x = self.pools[i].forward(x, train)
         return x
 
     def encode_backward(self, dfeat: np.ndarray) -> np.ndarray:
@@ -107,12 +107,14 @@ class PointNet:
     def forward(self, x: np.ndarray, train: bool = False):
         """Return (logits N x 65 x Hc x Wc, raw descriptors or None)."""
         feat = self.encode(x, train)
-        h = self.det_head_relu.forward(self.det_head_bn.forward(self.det_head.forward(feat), train))
-        logits = self.det_out.forward(h)
+        h = self.det_head_relu.forward(self.det_head_bn.forward(self.det_head.forward(feat, train), train), train)
+        logits = self.det_out.forward(h, train)
         desc = None
         if self.with_descriptor:
-            g = self.desc_head_relu.forward(self.desc_head_bn.forward(self.desc_head.forward(feat), train))
-            desc = self.desc_out.forward(g)
+            g = self.desc_head_relu.forward(
+                self.desc_head_bn.forward(self.desc_head.forward(feat, train), train), train
+            )
+            desc = self.desc_out.forward(g, train)
         return logits, desc
 
     def backward(self, dlogits: np.ndarray, ddesc: np.ndarray | None = None) -> np.ndarray:
@@ -222,9 +224,7 @@ def descriptor_sample(desc_map: np.ndarray, points: np.ndarray) -> np.ndarray:
         return np.zeros((0, desc_map.shape[0]), dtype=np.float64)
     cx = (points[:, 0] - 3.5) / CELL
     cy = (points[:, 1] - 3.5) / CELL
-    d = desc_map.shape[0]
-    out = np.empty((len(points), d), dtype=np.float64)
-    for ch in range(d):
-        out[:, ch] = bicubic_many(desc_map[ch], cx, cy)
+    # (N, D) in C order, so the norms below sum each row in the same order as a per-channel loop
+    out = np.ascontiguousarray(bicubic_many(desc_map, cx, cy).T)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     return out / np.maximum(norms, 1e-12)

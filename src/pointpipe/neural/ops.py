@@ -1,9 +1,14 @@
 """Differentiable layers with exact analytic backward passes.
 
-Convolution is im2col + GEMM.  Every layer caches what its backward needs
-during forward; backward accumulates parameter gradients into the store
-and returns the input gradient.  Layers run in whatever float dtype the
-store was built with (float64 for gradient checking).
+Every layer's ``forward(x, train)`` takes the mode explicitly.  With
+``train`` false it is a pure function of its input and the parameters
+(BatchNorm normalizes with its running statistics): it writes no attribute,
+so one model can serve any number of threads.  With ``train`` true a layer
+keeps what its ``backward`` needs, and BatchNorm also updates its running
+statistics.  ``backward`` is valid only after a training forward; it
+accumulates parameter gradients into the store and returns the input
+gradient.  Convolution is im2col + GEMM.  Layers run in whatever float dtype
+the store was built with (float64 for gradient checking).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class OddDimension(ValueError):
 
 
 def _im2col(x: np.ndarray, k: int, pad: int):
-    """(N, C, H, W) -> (N, C*k*k, Ho*Wo) patches for stride-1 conv, plus Ho, Wo."""
+    """(N, C, H, W) -> (N, C*k*k, Ho*Wo) patches for stride-1 conv."""
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -34,7 +39,7 @@ def _im2col(x: np.ndarray, k: int, pad: int):
     for ky in range(k):
         for kx in range(k):
             cols[:, :, ky, kx] = x[:, :, ky : ky + ho, kx : kx + wo]
-    return cols.reshape(n, c * k * k, ho * wo), ho, wo
+    return cols.reshape(n, c * k * k, ho * wo)
 
 
 class Conv2d:
@@ -50,62 +55,48 @@ class Conv2d:
         # a bias ahead of BatchNorm is cancelled by the mean subtraction and
         # its gradient degenerates to roundoff noise, so BN-fed convs skip it
         self.b = store.create(f"{name}.b", np.zeros(cout)) if bias else None
-        self.ksize = ksize
         self.pad = ksize // 2
-        self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, c, h, w = x.shape
         cout, cin, k, _ = self.w.data.shape
         if c != cin:
             raise ShapeMismatch(f"expected {cin} input channels, got {c}")
-        if k == 1:
-            xm = x.reshape(n, c, h * w)
-            wm = self.w.data.reshape(cout, cin)
-            y = np.matmul(wm[None], xm)
-            self._cache = (x, None)
-        else:
-            cols, ho, wo = _im2col(x, k, self.pad)
-            wm = self.w.data.reshape(cout, cin * k * k)
-            y = np.matmul(wm[None], cols)
-            self._cache = (x, cols)
-        y = y.reshape(n, cout, h, w)
+        # a 1x1 kernel's patches are the input itself
+        cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k, self.pad)
+        y = np.matmul(self.w.data.reshape(cout, cin * k * k)[None], cols).reshape(n, cout, h, w)
+        if train:
+            self._cache = (x.shape, cols)
         if self.b is not None:
             y += self.b.data.reshape(1, cout, 1, 1)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x, cols = self._cache
-        n, c, h, w = x.shape
+        x_shape, cols = self._cache
+        n = x_shape[0]
         cout, cin, k, _ = self.w.data.shape
-        dym = dy.reshape(n, cout, h * w)
+        dym = dy.reshape(n, cout, -1)
         if self.b is not None:
             self.b.grad += dy.sum(axis=(0, 2, 3))
-        if k == 1:
-            xm = x.reshape(n, c, h * w)
-            dw = np.zeros((cout, cin), dtype=x.dtype)
-            for i in range(n):
-                dw += dym[i] @ xm[i].T
-            self.w.grad += dw.reshape(self.w.data.shape)
-            wm = self.w.data.reshape(cout, cin)
-            dx = np.matmul(wm.T[None], dym).reshape(x.shape)
-            return dx
-        dw = np.zeros((cout, cin * k * k), dtype=x.dtype)
+        dw = np.zeros((cout, cin * k * k), dtype=cols.dtype)
         for i in range(n):
             dw += dym[i] @ cols[i].T
         self.w.grad += dw.reshape(self.w.data.shape)
+        if k == 1:
+            return np.matmul(self.w.data.reshape(cout, cin).T[None], dym).reshape(x_shape)
         # dx is the full correlation of dy with the transposed, 180-rotated kernel
         wt = self.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dcols, _, _ = _im2col(dy, k, k - 1 - self.pad)
+        dcols = _im2col(dy, k, k - 1 - self.pad)
         wtm = np.ascontiguousarray(wt).reshape(cin, cout * k * k)
-        dx = np.matmul(wtm[None], dcols).reshape(x.shape)
-        return dx
+        return np.matmul(wtm[None], dcols).reshape(x_shape)
 
 
 class ReLU:
-    def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype, copy=False)
+    def forward(self, x, train: bool):
+        mask = x > 0
+        if train:
+            self._mask = mask
+        return np.where(mask, x, 0.0).astype(x.dtype, copy=False)
 
     def backward(self, dy):
         return np.where(self._mask, dy, 0.0).astype(dy.dtype, copy=False)
@@ -114,7 +105,7 @@ class ReLU:
 class MaxPool2x2:
     """Non-overlapping 2x2 max; gradient routed to the first max in row-major order."""
 
-    def forward(self, x):
+    def forward(self, x, train: bool):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise OddDimension(f"pooling needs even spatial dims, got {h}x{w}")
@@ -123,17 +114,18 @@ class MaxPool2x2:
         v10 = x[:, :, 1::2, 0::2]
         v11 = x[:, :, 1::2, 1::2]
         y = np.maximum(np.maximum(v00, v01), np.maximum(v10, v11))
-        f00 = v00 == y
-        f01 = (v01 == y) & ~f00
-        f10 = (v10 == y) & ~(f00 | f01)
-        f11 = ~(f00 | f01 | f10)
-        self._flags = (f00, f01, f10, f11)
-        self._in_shape = x.shape
+        if train:
+            f00 = v00 == y
+            f01 = (v01 == y) & ~f00
+            f10 = (v10 == y) & ~(f00 | f01)
+            f11 = ~(f00 | f01 | f10)
+            self._flags = (f00, f01, f10, f11)
         return y
 
     def backward(self, dy):
         f00, f01, f10, f11 = self._flags
-        dx = np.zeros(self._in_shape, dtype=dy.dtype)
+        n, c, hc, wc = f00.shape
+        dx = np.zeros((n, c, 2 * hc, 2 * wc), dtype=dy.dtype)
         dx[:, :, 0::2, 0::2] = np.where(f00, dy, 0.0)
         dx[:, :, 0::2, 1::2] = np.where(f01, dy, 0.0)
         dx[:, :, 1::2, 0::2] = np.where(f10, dy, 0.0)
@@ -152,40 +144,33 @@ class BatchNorm2d:
         self.beta = store.create(f"{name}.beta", np.zeros(channels))
         self.running_mean = store.create(f"{name}.running_mean", np.zeros(channels), trainable=False)
         self.running_var = store.create(f"{name}.running_var", np.ones(channels), trainable=False)
-        self._cache = None
 
     def forward(self, x, train: bool):
         c = x.shape[1]
-        g = self.gamma.data.reshape(1, c, 1, 1)
-        b = self.beta.data.reshape(1, c, 1, 1)
         if train:
             mu = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            inv_std = 1.0 / np.sqrt(var + self.EPS)
-            xhat = (x - mu.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+        else:
+            mu, var = self.running_mean.data, self.running_var.data
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
+        xhat = (x - mu.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+        if train:
             self.running_mean.data = (
                 self.MOMENTUM * self.running_mean.data + (1.0 - self.MOMENTUM) * mu
             ).astype(self.running_mean.data.dtype)
             self.running_var.data = (
                 self.MOMENTUM * self.running_var.data + (1.0 - self.MOMENTUM) * var
             ).astype(self.running_var.data.dtype)
-            self._cache = ("train", xhat, inv_std)
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var.data + self.EPS)
-            xhat = (x - self.running_mean.data.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-            self._cache = ("eval", xhat, inv_std)
-        return g * xhat + b
+            self._cache = (xhat, inv_std)
+        return self.gamma.data.reshape(1, c, 1, 1) * xhat + self.beta.data.reshape(1, c, 1, 1)
 
     def backward(self, dy):
-        mode, xhat, inv_std = self._cache
+        xhat, inv_std = self._cache
         c = dy.shape[1]
-        g = self.gamma.data.reshape(1, c, 1, 1)
+        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         self.beta.grad += dy.sum(axis=(0, 2, 3))
         self.gamma.grad += (dy * xhat).sum(axis=(0, 2, 3))
-        dxhat = dy * g
-        if mode == "eval":
-            return dxhat * inv_std.reshape(1, c, 1, 1)
-        m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+        dxhat = dy * self.gamma.data.reshape(1, c, 1, 1)
         sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         return (inv_std.reshape(1, c, 1, 1) / m) * (m * dxhat - sum_d - xhat * sum_dx)

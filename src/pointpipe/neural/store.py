@@ -138,5 +138,8 @@ def load_weights(path) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", field(4 * rank, f"shape of tensor {name!r}"))
         count = int(np.prod(dims)) if rank else 1
         arr = np.frombuffer(field(4 * count, f"payload of tensor {name!r}"), dtype="<f4").reshape(dims)
+        # ReLU maps NaN to 0, so a non-finite weight would give answers instead of an error
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} holds a NaN or infinite value")
         state[name] = arr.copy()
     return state

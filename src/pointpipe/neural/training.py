@@ -76,6 +76,8 @@ def _diverged(what, it, checkpoint) -> TrainingDiverged:
     return TrainingDiverged(f"{what} at iteration {it}; {where}")
 
 
+# the loop's finiteness checks report divergence; numpy's overflow warnings would only bury that message
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkpoint_dir=None, progress=None):
     """Run ``cfg.iterations`` Adam steps on ``batch(it) -> (images, cell labels, grids)``.
 

@@ -108,13 +108,36 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "TruncatedFile" in err and expect in err, err
 
-    def test_diverging_training_exits_3_without_weights(self, tmp_path, capsys):
+    def test_diverging_training_exits_3_without_weights(self, tmp_path, capsys, recwarn):
         out = tmp_path / "m.spw"
         assert run(["train-magicpoint", "--out", str(out), "--iterations", "30", "--batch", "2",
                     "--lr", "1e30"]) == 3
         err = capsys.readouterr().err
         assert "TrainingDiverged: loss is nan at iteration" in err, err
         assert "no checkpoint that gave a finite loss and gradients was written" in err, err
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)], [str(w) for w in recwarn]
+
+    def test_non_finite_weights_exit_3(self, tmp_path, capsys):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        model = PointNet(ARCH_PRESETS["micro"], with_descriptor=False, seed=0)
+        model.store["enc3.w"].data[0, 0, 1, 1] = np.nan
+        weights = tmp_path / "nan.spw"
+        save_weights(weights, model.store)
+        assert run(["detect", "--input", str(image), "--weights", str(weights), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert f"ValueError: {weights}: tensor 'enc3.w' holds a NaN or infinite value" in err, err
+        assert sorted(os.listdir(tmp_path)) == ["img.pgm", "nan.spw"]
+
+    def test_bad_retraining_settings_exit_3_before_labeling(self, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        out = tmp_path / "labels"
+        assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
+                    "--nh", "2", "--rounds", "2", "--train-batch", "0"]) == 3
+        assert "TrainConfig.batch_size must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_point_budget_exits_3(self, tmp_path, capsys):
@@ -346,9 +369,11 @@ class TestPipelineComposition:
         assert len(lines) == 3
 
     def test_threads_flag_matches_sequential(self, tiny_chain, tmp_path):
-        out1 = tmp_path / "t1"
-        out4 = tmp_path / "t4"
-        base = ["detect", "--input", str(tiny_chain / "data"), "--weights", "harris"]
-        assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
-        assert run(base + ["--out", str(out4), "--threads", "4"]) == 0
-        assert dir_bytes(out1) == dir_bytes(out4)
+        # the learned detector's threads share one model
+        for weights in ("harris", str(tiny_chain / "mp.spw")):
+            out1 = tmp_path / os.path.basename(weights) / "t1"
+            out4 = tmp_path / os.path.basename(weights) / "t4"
+            base = ["detect", "--input", str(tiny_chain / "data"), "--weights", weights]
+            assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
+            assert run(base + ["--out", str(out4), "--threads", "4"]) == 0
+            assert dir_bytes(out1) == dir_bytes(out4), weights

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pointpipe.imaging import bicubic_many
 from pointpipe.neural import (
     ARCH_PRESETS,
     ArchConfig,
@@ -14,6 +15,7 @@ from pointpipe.neural import (
     normalize_descriptors,
     space_to_depth,
 )
+from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, ReLU
 
 MICRO = ARCH_PRESETS["micro"]
 
@@ -136,6 +138,17 @@ class TestDescriptors:
         out = descriptor_sample(dmap, pts)
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-6)
 
+    def test_equals_per_channel_loop(self):
+        rng = np.random.default_rng(5)
+        dmap = normalize_descriptors(rng.normal(size=(32, 5, 7)).astype(np.float32))
+        pts = np.stack([rng.uniform(-9, 64, 40), rng.uniform(-9, 48, 40), np.ones(40)], axis=1)
+        cx, cy = (pts[:, 0] - 3.5) / 8, (pts[:, 1] - 3.5) / 8
+        loop = np.empty((40, 32))
+        for ch in range(32):
+            loop[:, ch] = bicubic_many(dmap[ch], cx, cy)
+        want = loop / np.maximum(np.linalg.norm(loop, axis=1, keepdims=True), 1e-12)
+        np.testing.assert_array_equal(descriptor_sample(dmap, pts), want)
+
     def test_empty_map_raises(self):
         with pytest.raises(EmptyDescriptorMap):
             descriptor_sample(np.zeros((4, 0, 3)), np.array([[1.0, 1.0, 1.0]]))
@@ -158,6 +171,46 @@ class TestTranslationCovariance:
         # interior: cells whose receptive field avoids both borders
         m = 6
         np.testing.assert_array_equal(la[0, :, m:-m, m : -m - 1], lb[0, :, m:-m, m + 1 : -m])
+
+
+def layers(model):
+    """Every layer object of a model, encoder first."""
+    found = [layer for block in model.encoder for layer in block] + list(model.pools.values())
+    return found + [v for v in vars(model).values() if isinstance(v, (Conv2d, BatchNorm2d, ReLU, MaxPool2x2))]
+
+
+class TestInferenceIsStateless:
+    def test_heatmap_and_describe_write_no_layer_attribute(self):
+        model = PointNet(MICRO, with_descriptor=True, seed=4)
+        img = np.random.default_rng(3).random((40, 48)).astype(np.float32)
+        before = [dict(vars(layer)) for layer in layers(model)]
+        data = [p.data for p in model.store.params.values()]
+        model.heatmap(img)
+        model.describe(img)
+        for layer, attrs in zip(layers(model), before):
+            assert not {"_cache", "_mask", "_flags"} & vars(layer).keys(), layer
+            assert vars(layer).keys() == attrs.keys() and all(vars(layer)[k] is v for k, v in attrs.items())
+        assert all(p.data is d for p, d in zip(model.store.params.values(), data))
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_inference_between_forward_and_backward_leaves_gradients(self, batch):
+        model = PointNet(MICRO, with_descriptor=True, seed=5)
+        rng = np.random.default_rng(6)
+        x = rng.random((batch, 1, 32, 32)).astype(np.float32)
+        logits, desc = model.forward(x, train=True)
+        r, s = rng.standard_normal(logits.shape), rng.standard_normal(desc.shape)
+
+        def gradients(between):
+            model.forward(x, train=True)
+            between()
+            model.store.zero_grad()
+            dx = model.backward(r.astype(np.float32), s.astype(np.float32))
+            return [dx] + [p.grad.copy() for p in model.store.params.values()]
+
+        plain = gradients(lambda: None)
+        interleaved = gradients(lambda: (model.heatmap(x[0, 0]), model.describe(x[0, 0])))
+        for want, got in zip(plain, interleaved):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestInferArch:

@@ -30,14 +30,14 @@ def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
-def check_layer_input_grad(layer_fwd, layer_bwd, x, rng, tol, k=8):
-    """Probe d(sum(out * r))/dx against finite differences."""
-    out = layer_fwd(x)
+def check_layer_input_grad(layer, x, rng, tol, k=8):
+    """Probe d(sum(out * r))/dx of a training forward against finite differences."""
+    out = layer.forward(x, train=True)
     r = rng.normal(size=out.shape)
-    dx = layer_bwd(r)
+    dx = layer.backward(r)
 
     def f():
-        return float((layer_fwd(x) * r).sum())
+        return float((layer.forward(x, train=True) * r).sum())
 
     coords = sample_coords(rng, x.size, k)
     num = numeric_grad(f, x, coords)
@@ -54,7 +54,7 @@ class TestConv:
         conv.w.data[0, 0, 1, 1] = 1.0
         conv.b.data[:] = 0.0
         x = rng.normal(size=(2, 1, 6, 6))
-        np.testing.assert_allclose(conv.forward(x), x, atol=1e-12)
+        np.testing.assert_allclose(conv.forward(x, train=True), x, atol=1e-12)
 
     def test_ones_kernel_counts_taps(self):
         store = ParamStore(np.float64)
@@ -62,7 +62,7 @@ class TestConv:
         conv.w.data[:] = 1.0
         conv.b.data[:] = 0.0
         x = np.ones((1, 1, 5, 5))
-        y = conv.forward(x)[0, 0]
+        y = conv.forward(x, train=True)[0, 0]
         assert y[2, 2] == 9.0
         assert y[0, 0] == 4.0
         assert y[0, 2] == 6.0
@@ -71,7 +71,7 @@ class TestConv:
         store = ParamStore(np.float64)
         conv = Conv2d(store, "c", 3, 4, 3, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            conv.forward(np.zeros((1, 2, 8, 8)))
+            conv.forward(np.zeros((1, 2, 8, 8)), train=True)
 
     @pytest.mark.parametrize("ksize,cin,cout", [(3, 2, 3), (1, 3, 2)])
     def test_gradients_match_finite_differences(self, ksize, cin, cout):
@@ -79,13 +79,13 @@ class TestConv:
         store = ParamStore(np.float64)
         conv = Conv2d(store, "c", cin, cout, ksize, rng)
         x = rng.normal(size=(2, cin, 6, 7))
-        out = conv.forward(x)
+        out = conv.forward(x, train=True)
         r = rng.normal(size=out.shape)
         store.zero_grad()
         dx = conv.backward(r)
 
         def f():
-            return float((conv.forward(x) * r).sum())
+            return float((conv.forward(x, train=True) * r).sum())
 
         for c, g in numeric_grad(f, x, sample_coords(rng, x.size)).items():
             assert rel_err(dx.ravel()[c], g) < 1e-6
@@ -99,21 +99,21 @@ class TestMaxPool:
     def test_constant(self):
         pool = MaxPool2x2()
         x = np.full((1, 2, 4, 4), 0.7)
-        np.testing.assert_array_equal(pool.forward(x), np.full((1, 2, 2, 2), 0.7))
+        np.testing.assert_array_equal(pool.forward(x, train=True), np.full((1, 2, 2, 2), 0.7))
 
     def test_block_max(self):
         pool = MaxPool2x2()
         x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert pool.forward(x)[0, 0, 0, 0] == 4.0
+        assert pool.forward(x, train=True)[0, 0, 0, 0] == 4.0
 
     def test_odd_dims_rejected(self):
         with pytest.raises(OddDimension):
-            MaxPool2x2().forward(np.zeros((1, 1, 5, 4)))
+            MaxPool2x2().forward(np.zeros((1, 1, 5, 4)), train=True)
 
     def test_tie_routes_to_first_row_major(self):
         pool = MaxPool2x2()
         x = np.array([[[[2.0, 2.0], [2.0, 2.0]]]])
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_array_equal(dx, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
@@ -121,20 +121,20 @@ class TestMaxPool:
         rng = np.random.default_rng(2)
         pool = MaxPool2x2()
         x = rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8)  # distinct values
-        check_layer_input_grad(pool.forward, pool.backward, x, rng, 1e-6)
+        check_layer_input_grad(pool, x, rng, 1e-6)
 
 
 class TestReLU:
     def test_values(self):
         r = ReLU()
-        np.testing.assert_array_equal(r.forward(np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(r.forward(np.array([-1.0, 2.0]), train=True), [0.0, 2.0])
 
     def test_gradient_away_from_kink(self):
         rng = np.random.default_rng(3)
         relu = ReLU()
         x = rng.normal(size=(2, 3, 4, 4))
         x += np.sign(x) * 0.1  # keep clear of |x| < 1e-3
-        check_layer_input_grad(relu.forward, relu.backward, x, rng, 1e-6)
+        check_layer_input_grad(relu, x, rng, 1e-6)
 
 
 class TestBatchNorm:
