@@ -361,6 +361,8 @@ DETECT_SCHEMA = [
 
 
 def cmd_match(cfg, args):
+    ransac = ev.RansacParams(threshold=cfg["match.ransac_threshold"], max_iters=cfg["match.ransac_iters"],
+                             seed=cfg["match.seed"])
     system = make_system(cfg["match.weights"], cfg["match.threshold"], cfg["match.nms"],
                          cfg["match.top_k"])
     img_a = im.read_pgm(cfg["match.image_a"])
@@ -376,10 +378,7 @@ def cmd_match(cfg, args):
         for i, j, d in zip(matches.idx_a, matches.idx_b, matches.distance):
             w.writerow([i, j, f"{pts_a[i, 0]:.3f}", f"{pts_a[i, 1]:.3f}",
                         f"{pts_b[j, 0]:.3f}", f"{pts_b[j, 1]:.3f}", f"{d:.6f}"])
-    h_est = ev.estimate_homography(
-        matches, ev.RansacParams(threshold=cfg["match.ransac_threshold"],
-                                 max_iters=cfg["match.ransac_iters"], seed=cfg["match.seed"]),
-    )
+    h_est = ev.estimate_homography(matches, ransac)
     geo.save_homography(os.path.join(out, "estimated.htxt"), h_est)
     side = np.hstack([im.overlay_points(img_a, pts_a), im.overlay_points(img_b, pts_b)])
     im.write_pgm(os.path.join(out, "side_by_side.pgm"), side)
@@ -431,17 +430,19 @@ EVAL_DET_SCHEMA = [
 
 def cmd_eval_matching(cfg, args):
     seed = cfg["eval_match.seed"]
+    try:
+        eps_list = tuple(float(e) for e in cfg["eval_match.eps_list"].split(","))
+    except ValueError:
+        raise ConfigError(f"--eps-list (eval_match.eps_list): expected comma-separated numbers, "
+                          f"got {cfg['eval_match.eps_list']!r}") from None
+    protocol = ev.MatchingProtocol(n_points=cfg["eval_match.n_points"], eps=cfg["eval_match.eps"],
+                                   eps_list=eps_list, ransac=ev.RansacParams(seed=seed))
     images = eval_images(cfg, "eval_match", seed)
     pairs = ev.warped_pair_dataset(images, geo.ranges_preset(cfg["eval_match.preset"]), seed=seed)
     system = make_system(
         cfg["eval_match.weights"], cfg["eval_match.threshold"], cfg["eval_match.nms"],
         cfg["eval_match.n_points"],
         random_desc_seed=seed if cfg["eval_match.random_descriptors"] else None,
-    )
-    protocol = ev.MatchingProtocol(
-        n_points=cfg["eval_match.n_points"], eps=cfg["eval_match.eps"],
-        eps_list=tuple(float(e) for e in cfg["eval_match.eps_list"].split(",")),
-        ransac=ev.RansacParams(seed=seed),
     )
     report = ev.run_matching_benchmark(system, pairs, protocol)
     ev.write_matching_report_csv(cfg["eval_match.out"], report)

@@ -150,33 +150,55 @@ class MatchSet:
     points_b: np.ndarray  # (Nb, 3)
 
 
-def _pairwise_distances(desc_a: np.ndarray, desc_b: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Euclidean distances by direct differencing, chunked over rows."""
-    desc_a = np.asarray(desc_a, dtype=np.float64)
-    desc_b = np.asarray(desc_b, dtype=np.float64)
-    out = np.empty((len(desc_a), len(desc_b)), dtype=np.float64)
-    for s in range(0, len(desc_a), chunk):
-        e = min(s + chunk, len(desc_a))
-        diff = desc_a[s:e, None, :] - desc_b[None, :, :]
-        out[s:e] = np.sqrt((diff * diff).sum(axis=2))
-    return out
+# Rows of desc_a per GEMM block in match_nn.
+MATCH_CHUNK = 256
+
+
+def _differencing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast rows of a and b, by direct differencing."""
+    diff = a - b
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def match_nn(desc_a: np.ndarray, desc_b: np.ndarray,
              points_a: np.ndarray | None = None, points_b: np.ndarray | None = None) -> MatchSet:
     """Nearest neighbor in descriptor space for every row of desc_a.
 
-    Ties resolve to the lowest index in b.
+    Indices and distances are those of differencing every pair,
+    ``sqrt(sum((a - b)**2))``, with ties resolved to the lowest index in b.
+    Candidates come from a GEMM over |a|^2 + |b|^2 - 2 a.b (the FAISS
+    decomposition), which differs from the differenced square by at most
+    (4 D + 8) u (|a|^2 + |b|^2), u = 2^-53.  A column further than twice that,
+    plus sqrt's rounding, above a row's best GEMM value can neither be its
+    nearest nor tie it.  So each row's candidates are the columns within
+    W_i = (8 D + 32) eps (|a_i|^2 + max_j |b_j|^2) of its best (eps = 2u,
+    leaving a factor 2 of slack); a row with more than one, or a non-finite
+    best, is decided by differencing them (all columns when not finite).
+    Every returned distance is recomputed by differencing.
     """
     desc_a = np.atleast_2d(np.asarray(desc_a, dtype=np.float64))
     desc_b = np.atleast_2d(np.asarray(desc_b, dtype=np.float64))
     if desc_b.size == 0 or len(desc_b) == 0:
         raise EmptySet("no descriptors to match against")
-    d = _pairwise_distances(desc_a, desc_b)
-    idx_b = d.argmin(axis=1)
-    dist = d[np.arange(len(desc_a)), idx_b]
     na = len(desc_a)
     nb = len(desc_b)
+    sq_a = np.einsum("ij,ij->i", desc_a, desc_a)
+    sq_b = np.einsum("ij,ij->i", desc_b, desc_b)
+    window = (8 * desc_b.shape[1] + 32) * np.finfo(np.float64).eps * (sq_a + sq_b.max())
+    idx_b = np.empty(na, dtype=np.intp)
+    for s in range(0, na, MATCH_CHUNK):
+        e = min(s + MATCH_CHUNK, na)
+        g = desc_a[s:e] @ desc_b.T
+        g *= -2.0
+        g += sq_b
+        g += sq_a[s:e, None]
+        best = g.min(axis=1)
+        candidates = g <= (best + window[s:e])[:, None]
+        idx_b[s:e] = g.argmin(axis=1)
+        for r in np.flatnonzero(candidates.sum(axis=1) != 1):
+            cols = np.flatnonzero(candidates[r]) if np.isfinite(best[r] + window[s + r]) else np.arange(nb)
+            idx_b[s + r] = cols[_differencing(desc_a[s + r], desc_b[cols]).argmin()]
+    dist = _differencing(desc_a, desc_b[idx_b])
     pa = np.zeros((na, 3)) if points_a is None else np.asarray(points_a, dtype=np.float64)
     pb = np.zeros((nb, 3)) if points_b is None else np.asarray(points_b, dtype=np.float64)
     return MatchSet(np.arange(na), idx_b, dist, pa, pb)
@@ -242,11 +264,48 @@ def matching_score(pts_a, desc_a, pts_b, desc_b, h, shape, eps) -> float:
 
 
 def _hartley_normalization(xy: np.ndarray) -> np.ndarray:
-    centroid = xy.mean(axis=0)
-    dist = np.linalg.norm(xy - centroid, axis=1).mean()
-    scale = math.sqrt(2.0) / max(dist, 1e-12)
-    t = np.array([[scale, 0.0, -scale * centroid[0]], [0.0, scale, -scale * centroid[1]], [0.0, 0.0, 1.0]])
+    """Similarity taking (..., N, 2) points to centroid 0, mean distance sqrt(2)."""
+    centroid = xy.mean(axis=-2)
+    dist = np.linalg.norm(xy - centroid[..., None, :], axis=-1).mean(axis=-1)
+    scale = math.sqrt(2.0) / np.where(1e-12 > dist, 1e-12, dist)
+    t = np.zeros(xy.shape[:-2] + (3, 3))
+    t[..., 0, 0] = scale
+    t[..., 1, 1] = scale
+    t[..., 0, 2] = -scale * centroid[..., 0]
+    t[..., 1, 2] = -scale * centroid[..., 1]
+    t[..., 2, 2] = 1.0
     return t
+
+
+def _dlt_system(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (..., 2N, 9) DLT matrices of normalized correspondences and their
+    (..., 3, 3) Hartley transforms."""
+    t1 = _hartley_normalization(src)
+    t2 = _hartley_normalization(dst)
+    s = geo.apply(t1, src)
+    d = geo.apply(t2, dst)
+    a = np.zeros(s.shape[:-2] + (2 * s.shape[-2], 9))
+    a[..., 0::2, 0] = -s[..., 0]
+    a[..., 0::2, 1] = -s[..., 1]
+    a[..., 0::2, 2] = -1.0
+    a[..., 0::2, 6] = s[..., 0] * d[..., 0]
+    a[..., 0::2, 7] = s[..., 1] * d[..., 0]
+    a[..., 0::2, 8] = d[..., 0]
+    a[..., 1::2, 3] = -s[..., 0]
+    a[..., 1::2, 4] = -s[..., 1]
+    a[..., 1::2, 5] = -1.0
+    a[..., 1::2, 6] = s[..., 0] * d[..., 1]
+    a[..., 1::2, 7] = s[..., 1] * d[..., 1]
+    a[..., 1::2, 8] = d[..., 1]
+    return a, t1, t2
+
+
+def _null_space(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right singular vector of the smallest singular value of each (..., 2N, 9)
+    matrix, as (..., 3, 3), and the mask of matrices whose rank is 8."""
+    _, sv, vt = np.linalg.svd(a)
+    rank8 = ~(sv[..., -2] < 1e-10 * np.where(1.0 > sv[..., 0], 1.0, sv[..., 0]))
+    return vt[..., -1, :].reshape(a.shape[:-2] + (3, 3)), rank8
 
 
 def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -255,40 +314,24 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 2)
     if len(src) < 4 or len(src) != len(dst):
         raise InsufficientMatches("DLT needs at least 4 correspondences")
-    t1 = _hartley_normalization(src)
-    t2 = _hartley_normalization(dst)
-    s = geo.apply(t1, src)
-    d = geo.apply(t2, dst)
-    a = np.zeros((2 * len(s), 9))
-    a[0::2, 0] = -s[:, 0]
-    a[0::2, 1] = -s[:, 1]
-    a[0::2, 2] = -1.0
-    a[0::2, 6] = s[:, 0] * d[:, 0]
-    a[0::2, 7] = s[:, 1] * d[:, 0]
-    a[0::2, 8] = d[:, 0]
-    a[1::2, 3] = -s[:, 0]
-    a[1::2, 4] = -s[:, 1]
-    a[1::2, 5] = -1.0
-    a[1::2, 6] = s[:, 0] * d[:, 1]
-    a[1::2, 7] = s[:, 1] * d[:, 1]
-    a[1::2, 8] = d[:, 1]
-    _, sv, vt = np.linalg.svd(a)
-    if sv[-2] < 1e-10 * max(sv[0], 1.0):
+    a, t1, t2 = _dlt_system(src, dst)
+    hn, rank8 = _null_space(a)
+    if not rank8:
         raise DegenerateConfiguration("correspondences do not determine a homography")
-    hn = vt[-1].reshape(3, 3)
     h = geo.invert(t2) @ hn @ t1
     return geo.normalize(h)
 
 
-def _collinear_triple_exists(xy: np.ndarray, tol: float = 1e-6) -> bool:
-    for i in range(len(xy)):
-        for j in range(i + 1, len(xy)):
-            for k in range(j + 1, len(xy)):
-                v1 = xy[j] - xy[i]
-                v2 = xy[k] - xy[i]
-                if abs(v1[0] * v2[1] - v1[1] * v2[0]) <= tol * max(1.0, np.abs(xy).max()):
-                    return True
-    return False
+def _collinear_triple(xy: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Mask of the (..., 4, 2) samples with three points on a line, up to tol."""
+    extent = np.abs(xy).max(axis=(-2, -1))
+    bound = tol * np.where(extent > 1.0, extent, 1.0)
+    found = np.zeros(xy.shape[:-2], dtype=bool)
+    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+        v1 = xy[..., j, :] - xy[..., i, :]
+        v2 = xy[..., k, :] - xy[..., i, :]
+        found |= np.abs(v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]) <= bound
+    return found
 
 
 @dataclass(frozen=True)
@@ -298,11 +341,62 @@ class RansacParams:
     confidence: float = 0.995
     seed: int = 0
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"RansacParams.max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ValueError(f"RansacParams.threshold must be a finite number > 0, got {self.threshold}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"RansacParams.confidence must be in (0, 1), got {self.confidence}")
 
-def _symmetric_error(h, hinv, a_xy, b_xy):
-    fwd = np.linalg.norm(geo.apply(h, a_xy) - b_xy, axis=1)
-    bwd = np.linalg.norm(geo.apply(hinv, b_xy) - a_xy, axis=1)
-    return 0.5 * (fwd + bwd)
+
+# Minimal samples drawn and evaluated together by estimate_homography.
+RANSAC_BLOCK = 64
+
+# Per-sample outcomes of _evaluate_samples.
+_COLLINEAR, _FAILED, _SVD_FAILED, _SCORED = range(4)
+
+
+def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, threshold: float):
+    """Outcome, inlier count and symmetric transfer errors of each (B, 4) minimal sample.
+
+    Elementwise the same arithmetic as dlt_homography, geo.invert and geo.apply
+    on one sample, so every value equals the per-sample one.  A sample is
+    _COLLINEAR when three of its points are collinear in either image,
+    _SVD_FAILED when its DLT matrix is not finite (np.linalg.svd raises on
+    it), and _FAILED when its DLT is rank-deficient, its Hartley transform or
+    its homography is singular, or a point maps to infinity either way.
+    """
+    src, dst = a_xy[picks], b_xy[picks]
+    outcome = np.full(len(picks), _COLLINEAR)
+    counts = np.zeros(len(picks), dtype=np.intp)
+    errors = np.full((len(picks), len(a_xy)), np.inf)
+    live = np.flatnonzero(~(_collinear_triple(src) | _collinear_triple(dst)))
+    a, t1, t2 = _dlt_system(src[live], dst[live])
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    outcome[live[~finite]] = _SVD_FAILED
+    live, a, t1, t2 = live[finite], a[finite], t1[finite], t2[finite]
+    hn, ok = _null_space(a)
+    t2inv, ok2 = geo.invert_many(t2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = t2inv @ hn @ t1
+        ok &= ok2 & ~(np.abs(h[:, 2, 2]) < geo.DET_EPS)
+        h = h / h[:, 2:3, 2:3]
+        # failed hypotheses may hold NaN or inf, and np.linalg.inv rejects a whole stack for one bad matrix
+        hinv = np.full_like(h, np.nan)
+        hinv[ok], ok[ok] = geo.invert_many(h[ok])
+        fu, fv, fw = geo.project(h, a_xy)
+        bu, bv, bw = geo.project(hinv, b_xy)
+        ok &= ~(np.abs(fw) < geo.DET_EPS).any(axis=1) & ~(np.abs(bw) < geo.DET_EPS).any(axis=1)
+        fx = fu / fw - b_xy[:, 0]
+        fy = fv / fw - b_xy[:, 1]
+        bx = bu / bw - a_xy[:, 0]
+        by = bv / bw - a_xy[:, 1]
+        err = 0.5 * (np.sqrt(fx * fx + fy * fy) + np.sqrt(bx * bx + by * by))
+    outcome[live] = np.where(ok, _SCORED, _FAILED)
+    errors[live] = err
+    counts[live] = (err <= threshold).sum(axis=1)
+    return outcome, counts, errors
 
 
 def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()) -> np.ndarray:
@@ -310,7 +404,10 @@ def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()
 
     Inliers satisfy a symmetric transfer error <= threshold; the iteration
     count adapts from the running inlier ratio under the configured
-    confidence, capped at max_iters.  Deterministic per seed.
+    confidence, capped at max_iters.  Deterministic per seed.  Samples are
+    drawn and evaluated in blocks of RANSAC_BLOCK and then taken one by one
+    in draw order, so the model, the draws counted and the stop are those of
+    drawing and testing one sample at a time; draws past the stop are unused.
     """
     a_xy = matches.points_a[np.asarray(matches.idx_a, dtype=int), :2].astype(np.float64)
     b_xy = matches.points_b[np.asarray(matches.idx_b, dtype=int), :2].astype(np.float64)
@@ -324,32 +421,33 @@ def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()
     attempts = 0
     i = 0
     while i < needed:
-        attempts += 1
-        if attempts > 100 * params.max_iters:
-            raise DegenerateConfiguration("could not draw a non-degenerate minimal sample")
-        pick = rng.choice(n, size=4, replace=False)
-        if _collinear_triple_exists(a_xy[pick]) or _collinear_triple_exists(b_xy[pick]):
-            continue
-        i += 1
-        try:
-            h = dlt_homography(a_xy[pick], b_xy[pick])
-            hinv = geo.invert(h)
-            err = _symmetric_error(h, hinv, a_xy, b_xy)
-        except (DegenerateConfiguration, geo.Singular, geo.DegenerateProjection):
-            # hypothesis throws points to infinity; discard it
-            continue
-        inliers = err <= params.threshold
-        count = int(inliers.sum())
-        score = (count, float(err[inliers].sum()) if count else np.inf)
-        if count > best_score[0] or (count == best_score[0] and score[1] < best_score[1]):
-            best_score = score
-            best_inliers = inliers
-            w = count / n
-            if 0.0 < w < 1.0:
-                est = math.log(max(1e-12, 1.0 - params.confidence)) / math.log(1.0 - w**4)
-                needed = min(params.max_iters, max(i, int(math.ceil(est))))
-            elif w >= 1.0:
-                needed = i
+        picks = np.array([rng.choice(n, size=4, replace=False) for _ in range(min(RANSAC_BLOCK, needed - i))])
+        outcome, counts, errors = _evaluate_samples(a_xy, b_xy, picks, params.threshold)
+        for k in range(len(picks)):
+            if i >= needed:
+                break
+            attempts += 1
+            if attempts > 100 * params.max_iters:
+                raise DegenerateConfiguration("could not draw a non-degenerate minimal sample")
+            if outcome[k] == _COLLINEAR:
+                continue
+            i += 1
+            if outcome[k] == _SVD_FAILED:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            count = int(counts[k])
+            if outcome[k] == _FAILED or count < best_score[0]:
+                continue
+            inliers = errors[k] <= params.threshold
+            score = (count, float(errors[k][inliers].sum()) if count else np.inf)
+            if count > best_score[0] or score[1] < best_score[1]:
+                best_score = score
+                best_inliers = inliers
+                w = count / n
+                if 0.0 < w < 1.0:
+                    est = math.log(max(1e-12, 1.0 - params.confidence)) / math.log(1.0 - w**4)
+                    needed = min(params.max_iters, max(i, int(math.ceil(est))))
+                elif w >= 1.0:
+                    needed = i
     if best_inliers is None or best_inliers.sum() < 4:
         raise DegenerateConfiguration("RANSAC found no usable model")
     return dlt_homography(a_xy[best_inliers], b_xy[best_inliers])
@@ -384,6 +482,13 @@ class MatchingProtocol:
     eps: float = 3.0
     eps_list: tuple = (1.0, 3.0, 5.0)
     ransac: RansacParams = RansacParams()
+
+    def __post_init__(self):
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"MatchingProtocol.eps must be a finite number > 0, got {self.eps}")
+        for e in self.eps_list:
+            if not (math.isfinite(e) and e > 0.0):
+                raise ValueError(f"MatchingProtocol.eps_list entries must be finite numbers > 0, got {e}")
 
 
 @dataclass
@@ -560,16 +665,23 @@ def write_detector_report_csv(path, reports: dict) -> None:
                         rep.counts.get("pairs", 0), ""])
 
 
+# Pair counts of run_matching_benchmark, in report column order.
+MATCHING_COUNTS = ("estimated", "no_matches", "no_features", "estimation_failed")
+
+
 def write_matching_report_csv(path, report: EvalReport) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         eps_cols = [f"correct_eps{e:g}" for e in report.correctness]
-        w.writerow(["pair", "repeatability", "mle", "corner_error"] + eps_cols)
+        summary_cols = ["nn_map", "matching_score", *MATCHING_COUNTS]
+        w.writerow(["pair", "repeatability", "mle", "corner_error"] + eps_cols + summary_cols)
         for idx, rep, mle, err in report.rows:
-            w.writerow([idx, f"{rep:.6f}", f"{mle:.6f}", f"{err:.6f}"] + [""] * len(eps_cols))
+            w.writerow([idx, f"{rep:.6f}", f"{mle:.6f}", f"{err:.6f}"] + [""] * (len(eps_cols) + len(summary_cols)))
         w.writerow(
             ["summary", f"{report.repeatability:.6f}", f"{report.mle:.6f}", ""]
             + [f"{v:.6f}" for v in report.correctness.values()]
+            + [f"{report.nn_map:.6f}", f"{report.matching_score:.6f}"]
+            + [report.counts.get(k, 0) for k in MATCHING_COUNTS]
         )
 
 
@@ -590,4 +702,6 @@ def format_matching_table(report: EvalReport) -> str:
     ]
     for e, v in report.correctness.items():
         lines.append(f"{'correct@' + format(e, 'g'):<18} {v:>10.3f}")
+    for k in MATCHING_COUNTS:
+        lines.append(f"{k:<18} {report.counts.get(k, 0):>10d}")
     return "\n".join(lines)

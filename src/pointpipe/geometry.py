@@ -65,20 +65,36 @@ def invert(h: np.ndarray) -> np.ndarray:
     return np.linalg.inv(h)
 
 
+def invert_many(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``invert`` over a (..., 3, 3) stack: the inverses (NaN where singular)
+    and the mask of the matrices ``invert`` accepts."""
+    ok = ~(np.abs(np.linalg.det(h)) < DET_EPS)
+    out = np.full(h.shape, np.nan)
+    out[ok] = np.linalg.inv(h[ok])
+    return out, ok
+
+
+def project(h: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Homogeneous image (x numerator, y numerator, w) of (..., N, 2) points
+    under one (3, 3) homography or a stack of (..., 3, 3) ones, each (..., N),
+    before any division."""
+    x, y = pts[..., 0], pts[..., 1]
+    return tuple(h[..., r, 0, None] * x + h[..., r, 1, None] * y + h[..., r, 2, None] for r in range(3))
+
+
 def apply(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Map an (N, 2) array of points through ``h`` with homogeneous division.
 
+    Also maps a stack: (..., 3, 3) homographies with (..., N, 2) points.
     Raises DegenerateProjection if any point lands too close to the plane
     at infinity.  Output row order matches input row order.
     """
     h = np.asarray(h, dtype=np.float64)
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    w = h[2, 0] * pts[:, 0] + h[2, 1] * pts[:, 1] + h[2, 2]
+    u, v, w = project(h, pts)
     if np.any(np.abs(w) < DET_EPS):
         raise DegenerateProjection("homogeneous coordinate ~ 0")
-    x = (h[0, 0] * pts[:, 0] + h[0, 1] * pts[:, 1] + h[0, 2]) / w
-    y = (h[1, 0] * pts[:, 0] + h[1, 1] * pts[:, 1] + h[1, 2]) / w
-    return np.stack([x, y], axis=1)
+    return np.stack([u / w, v / w], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,35 @@ class TestExitCodes:
             assert "DetectorProtocol.n_points must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--ransac-iters", "0"], "RansacParams.max_iters must be >= 1, got 0"),
+        (["--ransac-iters", "-5"], "RansacParams.max_iters must be >= 1, got -5"),
+        (["--ransac-threshold", "-1"], "RansacParams.threshold must be a finite number > 0, got -1.0"),
+        (["--ransac-threshold", "nan"], "RansacParams.threshold must be a finite number > 0, got nan"),
+    ])
+    def test_bad_ransac_settings_exit_3_before_output(self, tmp_path, capsys, flags, message):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        weights = tmp_path / "sp.spw"
+        save_weights(weights, PointNet(ARCH_PRESETS["micro"], with_descriptor=True, seed=0).store)
+        assert run(["match", "--weights", str(weights), "--image-a", str(image), "--image-b", str(image),
+                    "--out", str(tmp_path / "o")] + flags) == 3
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["img.pgm", "sp.spw"]
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--eps", "-2", "--eps-list", "1,-3"], 3, "MatchingProtocol.eps must be a finite number > 0, got -2.0"),
+        (["--eps-list", "1,-3"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got -3.0"),
+        (["--eps-list", "1,inf"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got inf"),
+        (["--eps-list", ""], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers, got ''"),
+        (["--eps-list", "1,,3"], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers"),
+    ])
+    def test_bad_matching_eps_rejected_before_work(self, tmp_path, capsys, flags, code, message):
+        assert run(["eval-matching", "--weights", str(tmp_path / "unread.spw"), "--count", "1",
+                    "--out", str(tmp_path / "r.csv")] + flags) == code
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -268,6 +297,17 @@ class TestPipelineComposition:
         assert (tiny_chain / "report.csv").exists()
         lines = (tiny_chain / "mp_loss.csv").read_text().splitlines()
         assert lines[0] == "iter,loss_total,loss_det,loss_desc"
+
+    def test_matching_report_summary_columns(self, tiny_chain):
+        lines = (tiny_chain / "report.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[-6:] == ["nn_map", "matching_score", "estimated", "no_matches", "no_features",
+                               "estimation_failed"]
+        summary = dict(zip(header, lines[-1].split(",")))
+        assert summary["pair"] == "summary"
+        assert 0.0 <= float(summary["nn_map"]) <= 1.0 and 0.0 <= float(summary["matching_score"]) <= 1.0
+        assert int(summary["estimated"]) + int(summary["estimation_failed"]) == 3
+        assert all(line.endswith(",,,,,,") for line in lines[1:-1])
 
     def test_label_files_align_with_images(self, tiny_chain):
         images = sorted(p for p in os.listdir(tiny_chain / "data") if p.endswith(".pgm"))

@@ -153,6 +153,120 @@ def oracle_matching_score_dir(pts_a, desc_a, pts_b, desc_b, h, shape, eps):
     return good / min(len(ia), len(ib))
 
 
+# ---------------------------------------------------------------------------
+# the per-pair and per-hypothesis implementations that match_nn and
+# estimate_homography replaced; the block versions must return the same bytes
+
+
+def match_nn_differencing(desc_a, desc_b, chunk=16):
+    """(idx_b, distance) by differencing every pair, lowest index on ties."""
+    desc_a = np.atleast_2d(np.asarray(desc_a, dtype=np.float64))
+    desc_b = np.atleast_2d(np.asarray(desc_b, dtype=np.float64))
+    d = np.empty((len(desc_a), len(desc_b)))
+    for s in range(0, len(desc_a), chunk):
+        diff = desc_a[s:s + chunk, None, :] - desc_b[None, :, :]
+        d[s:s + chunk] = np.sqrt((diff * diff).sum(axis=2))
+    idx_b = d.argmin(axis=1)
+    return idx_b, d[np.arange(len(desc_a)), idx_b]
+
+
+def apply_one(h, pts):
+    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+    w = h[2, 0] * pts[:, 0] + h[2, 1] * pts[:, 1] + h[2, 2]
+    if np.any(np.abs(w) < geo.DET_EPS):
+        raise geo.DegenerateProjection("homogeneous coordinate ~ 0")
+    x = (h[0, 0] * pts[:, 0] + h[0, 1] * pts[:, 1] + h[0, 2]) / w
+    y = (h[1, 0] * pts[:, 0] + h[1, 1] * pts[:, 1] + h[1, 2]) / w
+    return np.stack([x, y], axis=1)
+
+
+def hartley_one(xy):
+    centroid = xy.mean(axis=0)
+    dist = np.linalg.norm(xy - centroid, axis=1).mean()
+    scale = math.sqrt(2.0) / max(dist, 1e-12)
+    return np.array([[scale, 0.0, -scale * centroid[0]], [0.0, scale, -scale * centroid[1]], [0.0, 0.0, 1.0]])
+
+
+def dlt_one(src, dst):
+    t1, t2 = hartley_one(src), hartley_one(dst)
+    s, d = apply_one(t1, src), apply_one(t2, dst)
+    a = np.zeros((2 * len(s), 9))
+    a[0::2, 0], a[0::2, 1], a[0::2, 2] = -s[:, 0], -s[:, 1], -1.0
+    a[0::2, 6], a[0::2, 7], a[0::2, 8] = s[:, 0] * d[:, 0], s[:, 1] * d[:, 0], d[:, 0]
+    a[1::2, 3], a[1::2, 4], a[1::2, 5] = -s[:, 0], -s[:, 1], -1.0
+    a[1::2, 6], a[1::2, 7], a[1::2, 8] = s[:, 0] * d[:, 1], s[:, 1] * d[:, 1], d[:, 1]
+    _, sv, vt = np.linalg.svd(a)
+    if sv[-2] < 1e-10 * max(sv[0], 1.0):
+        raise ev.DegenerateConfiguration("correspondences do not determine a homography")
+    return geo.normalize(geo.invert(t2) @ vt[-1].reshape(3, 3) @ t1)
+
+
+def collinear_one(xy, tol=1e-6):
+    for i in range(len(xy)):
+        for j in range(i + 1, len(xy)):
+            for k in range(j + 1, len(xy)):
+                v1 = xy[j] - xy[i]
+                v2 = xy[k] - xy[i]
+                if abs(v1[0] * v2[1] - v1[1] * v2[0]) <= tol * max(1.0, np.abs(xy).max()):
+                    return True
+    return False
+
+
+def estimate_homography_loop(matches, params, stats=None):
+    """RANSAC drawing and testing one minimal sample at a time.
+
+    ``stats``, when given, receives the hypotheses discarded per exception
+    type and the number of hypotheses tested ("iterations").
+    """
+    stats = {} if stats is None else stats
+    a_xy = matches.points_a[matches.idx_a, :2].astype(np.float64)
+    b_xy = matches.points_b[matches.idx_b, :2].astype(np.float64)
+    n = len(a_xy)
+    rng = np.random.default_rng(params.seed)
+    best_inliers, best_score = None, (-1, np.inf)
+    needed, attempts, i = params.max_iters, 0, 0
+    while i < needed:
+        attempts += 1
+        if attempts > 100 * params.max_iters:
+            raise ev.DegenerateConfiguration("could not draw a non-degenerate minimal sample")
+        pick = rng.choice(n, size=4, replace=False)
+        if collinear_one(a_xy[pick]) or collinear_one(b_xy[pick]):
+            continue
+        i += 1
+        try:
+            h = dlt_one(a_xy[pick], b_xy[pick])
+            hinv = geo.invert(h)
+            fwd = np.linalg.norm(apply_one(h, a_xy) - b_xy, axis=1)
+            err = 0.5 * (fwd + np.linalg.norm(apply_one(hinv, b_xy) - a_xy, axis=1))
+        except (ev.DegenerateConfiguration, geo.Singular, geo.DegenerateProjection) as exc:
+            stats[type(exc).__name__] = stats.get(type(exc).__name__, 0) + 1
+            continue
+        finally:
+            stats["iterations"] = i
+        inliers = err <= params.threshold
+        count = int(inliers.sum())
+        score = (count, float(err[inliers].sum()) if count else np.inf)
+        if count > best_score[0] or (count == best_score[0] and score[1] < best_score[1]):
+            best_score, best_inliers = score, inliers
+            w = count / n
+            if 0.0 < w < 1.0:
+                est = math.log(max(1e-12, 1.0 - params.confidence)) / math.log(1.0 - w**4)
+                needed = min(params.max_iters, max(i, int(math.ceil(est))))
+            elif w >= 1.0:
+                needed = i
+    if best_inliers is None or best_inliers.sum() < 4:
+        raise ev.DegenerateConfiguration("RANSAC found no usable model")
+    return dlt_one(a_xy[best_inliers], b_xy[best_inliers])
+
+
+def outcome(fn, *args):
+    """The returned bytes, or the raised exception's type and message."""
+    try:
+        return fn(*args).tobytes()
+    except Exception as exc:  # the comparison covers failures too
+        return type(exc).__name__, str(exc)
+
+
 def random_instance(rng, n_max=50, shape=(64, 64)):
     n1 = int(rng.integers(1, n_max + 1))
     n2 = int(rng.integers(1, n_max + 1))
@@ -312,6 +426,47 @@ class TestMatchNN:
         b = np.array([[0.0, 1.0], [0.0, -1.0]])
         m = ev.match_nn(a, b)
         assert m.idx_b[0] == 0
+
+    @staticmethod
+    def assert_equals_differencing(da, db):
+        m = ev.match_nn(da, db)
+        idx_b, dist = match_nn_differencing(da, db)
+        np.testing.assert_array_equal(m.idx_b, idx_b)
+        assert m.distance.tobytes() == dist.tobytes()
+
+    def test_exact_ties_and_duplicate_rows(self):
+        rng = np.random.default_rng(15)
+        db = rng.normal(size=(40, 8))[rng.integers(0, 40, 120)]
+        da = np.vstack([db[rng.integers(0, 120, 50)], rng.normal(size=(50, 8))])
+        self.assert_equals_differencing(da, db)
+        lattice = rng.integers(-2, 3, (350, 3)).astype(np.float64)
+        self.assert_equals_differencing(lattice[:200], lattice[200:])
+
+    @pytest.mark.parametrize("dim", [2, 32, 256])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_near_ties_below_roundoff(self, dim, scale):
+        # a +- r are equally far from a in exact arithmetic: only rounding orders them
+        rng = np.random.default_rng(dim)
+        da = rng.normal(size=(120, dim))
+        da /= np.linalg.norm(da, axis=1, keepdims=True)
+        r = 0.1 * rng.normal(size=da.shape) / math.sqrt(dim)
+        db = np.vstack([da + r, da - r, rng.normal(size=(60, dim))])[rng.permutation(300)]
+        self.assert_equals_differencing(scale * da, scale * db)
+
+    def test_zero_rows_in_a(self):
+        rng = np.random.default_rng(16)
+        da = rng.normal(size=(100, 32))
+        da[::3] = 0.0
+        db = rng.normal(size=(90, 32))
+        db /= np.linalg.norm(db, axis=1, keepdims=True)  # every row ~1 from a zero row
+        self.assert_equals_differencing(da, db)
+
+    def test_large_set(self):
+        rng = np.random.default_rng(17)
+        da = rng.normal(size=(1000, 32))
+        db = np.vstack([da[:600] + 1e-3 * rng.normal(size=(600, 32)), rng.normal(size=(600, 32))])
+        self.assert_equals_differencing(da / np.linalg.norm(da, axis=1, keepdims=True),
+                                        db / np.linalg.norm(db, axis=1, keepdims=True))
 
     def test_equals_oracle(self):
         rng = np.random.default_rng(5)
@@ -510,6 +665,97 @@ class TestEstimateHomography:
         assert ev.corner_error(h2_unscaled, h1, (64, 64)) < 1e-9
 
 
+def correspondences(rng, n, inlier_ratio, shape=(64, 64)):
+    h = geo.to_pixel_frame(geo.sample_homography(geo.ranges_preset("adaptation"), rng), shape)
+    src = np.stack([rng.uniform(0, shape[1] - 1, n), rng.uniform(0, shape[0] - 1, n)], axis=1)
+    dst = geo.apply(h, src) + rng.normal(0.0, 0.3, (n, 2))
+    out = rng.random(n) >= inlier_ratio
+    dst[out] = np.stack([rng.uniform(0, shape[1] - 1, out.sum()), rng.uniform(0, shape[0] - 1, out.sum())], axis=1)
+    return src, dst
+
+
+class TestEstimateHomographyEqualsLoop:
+    """Block-evaluated RANSAC returns the per-hypothesis loop's bytes, or raises its error."""
+
+    @staticmethod
+    def assert_equals_loop(src, dst, **params):
+        matches, p = matches_from_arrays(src, dst), ev.RansacParams(**params)
+        stats = {}
+        want = outcome(estimate_homography_loop, matches, p, stats)
+        assert outcome(ev.estimate_homography, matches, p) == want
+        return stats
+
+    def test_seeds_and_inlier_ratios(self):
+        rng = np.random.default_rng(18)
+        for ratio in (0.15, 0.4, 0.7, 0.95):
+            src, dst = correspondences(rng, 60, ratio)
+            for seed in range(3):
+                self.assert_equals_loop(src, dst, seed=seed, max_iters=300)
+
+    def test_iteration_caps_off_the_block_size(self):
+        rng = np.random.default_rng(19)
+        src, dst = correspondences(rng, 40, 0.1)
+        for max_iters in (1, 3, ev.RANSAC_BLOCK - 1, ev.RANSAC_BLOCK + 1, 2 * ev.RANSAC_BLOCK + 5):
+            stats = self.assert_equals_loop(src, dst, seed=max_iters, max_iters=max_iters, threshold=1.0)
+            assert stats["iterations"] == max_iters
+
+    def test_adaptive_stop(self):
+        rng = np.random.default_rng(20)
+        src, dst = correspondences(rng, 200, 0.8)
+        stats = self.assert_equals_loop(src, dst, seed=4)
+        assert stats["iterations"] < 50
+
+    def test_all_inliers_stop_at_first_model(self):
+        rng = np.random.default_rng(21)
+        src, dst = correspondences(rng, 30, 1.0)
+        stats = self.assert_equals_loop(src, dst, seed=5, threshold=5.0)
+        assert stats["iterations"] == 1
+
+    def test_duplicate_and_collinear_points(self):
+        rng = np.random.default_rng(22)
+        src = np.stack([rng.integers(0, 4, 40), rng.integers(0, 4, 40)], axis=1) * 16.0
+        dst = src[:, ::-1] + rng.integers(0, 2, (40, 2))
+        for seed in range(3):
+            self.assert_equals_loop(src, dst, seed=seed, max_iters=150)
+
+    def test_hypotheses_sending_points_to_infinity(self):
+        # w = 1 - x / 100 vanishes on the line x = 100, where five points sit
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.01, 0.0, 1.0]])
+        rng = np.random.default_rng(23)
+        src = np.stack([rng.uniform(0, 90, 35), rng.uniform(0, 90, 35)], axis=1)
+        dst = geo.apply(h, src)
+        src = np.vstack([src, np.stack([np.full(5, 100.0), rng.uniform(0, 90, 5)], axis=1)])
+        dst = np.vstack([dst, rng.uniform(0, 90, (5, 2))])
+        stats = self.assert_equals_loop(src, dst, seed=6, max_iters=200)
+        assert stats.get("DegenerateProjection", 0) > 0
+
+    def test_attempt_cap_raises(self):
+        src = np.stack([np.linspace(0, 60, 8), np.linspace(0, 60, 8)], axis=1)
+        matches, p = matches_from_arrays(src, src + 1.0), ev.RansacParams(max_iters=7)
+        want = outcome(estimate_homography_loop, matches, p)
+        assert want == ("DegenerateConfiguration", "could not draw a non-degenerate minimal sample")
+        assert outcome(ev.estimate_homography, matches, p) == want
+
+    def test_non_finite_point_fails_like_the_loop(self):
+        rng = np.random.default_rng(24)
+        src, dst = correspondences(rng, 12, 0.9)
+        src[3] = np.nan
+        want = outcome(estimate_homography_loop, matches_from_arrays(src, dst), ev.RansacParams(seed=1))
+        assert want[0] == "LinAlgError"
+        self.assert_equals_loop(src, dst, seed=1)
+
+
+class TestRansacParams:
+    @pytest.mark.parametrize("field, value", [
+        ("max_iters", 0), ("max_iters", -5), ("threshold", 0.0), ("threshold", -1.0),
+        ("threshold", float("nan")), ("threshold", float("inf")), ("confidence", 0.0),
+        ("confidence", 1.0), ("confidence", float("nan")),
+    ])
+    def test_rejects_named_field(self, field, value):
+        with pytest.raises(ValueError, match=f"RansacParams.{field}"):
+            ev.RansacParams(**{field: value})
+
+
 class TestHomographyCorrectness:
     """An estimate counts as correct at eps when its mean corner error is <= eps."""
 
@@ -572,6 +818,9 @@ class TestBenchmarks:
         for e, v in report.correctness.items():
             assert v == 1.0
         assert report.matching_score == 1.0
+        table = ev.format_matching_table(report).splitlines()
+        assert table[-4:] == [f"{k:<18} {v:>10d}" for k, v in
+                              [("estimated", 1), ("no_matches", 0), ("no_features", 0), ("estimation_failed", 0)]]
 
     def test_gt_points_one_hot_descriptors_exact_estimation(self):
         samples = [sd.render_composite((96, 96), np.random.default_rng(20 + i)) for i in range(3)]
