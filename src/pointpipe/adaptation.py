@@ -19,18 +19,18 @@ from .classical import heatmap_to_points
 from .synthdata import write_points
 
 
+MASK_EROSION = 8  # px; see adapt()
+
+
 @dataclass(frozen=True)
 class AdaptConfig:
     n_homographies: int = 100
     detect_threshold: float = 0.015
     nms_radius: float = 4.0
-    mask_erosion: int = 8  # px; see adapt()
 
     def __post_init__(self):
         if self.n_homographies < 1:
             raise ValueError("need at least one homography (the identity)")
-        if self.mask_erosion < 0:
-            raise ValueError("mask_erosion must be >= 0")
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
@@ -51,7 +51,7 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
 
     Warps are drawn from the "adaptation" homography preset, whose scale
     term makes the average multi-scale as well as multi-homography.
-    Responses within ``mask_erosion`` px of a warp's validity border are
+    Responses within ``MASK_EROSION`` px of a warp's validity border are
     discarded: the detector computed them from padding, and the boundary
     itself is an artificial edge that would otherwise inject spurious
     corners right on the image border.  Each pixel is then normalized by
@@ -72,7 +72,7 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
         hinv = geo.invert(h)
         warped, fwd_mask = geo.warp_image(img, h)
         response = np.asarray(detector(warped), dtype=np.float32)
-        valid = _erode(fwd_mask, cfg.mask_erosion)
+        valid = _erode(fwd_mask, MASK_EROSION)
         response = np.where(valid, response, 0.0)
         back, back_mask = geo.warp_image(response, hinv)
         cover_f, cover_m = geo.warp_image(valid.astype(np.float32), hinv)

@@ -251,7 +251,7 @@ def cmd_adapt_label(cfg, args):
         save_weights(path, model.store)
         return model.heatmap
 
-    os.makedirs(cfg["adapt.out"], exist_ok=True)
+    # no makedirs here: self_label creates the output directory with round_1/, after checking its settings
     ad.self_label(
         images, detector, adapt_cfg, rounds,
         retrain=retrain if rounds > 1 or cfg["adapt.retrain_final"] else None,
@@ -559,15 +559,19 @@ EXP_SQUARE_SCHEMA = [
 
 def cmd_exp_nh_sweep(cfg, args):
     seed = cfg["exp_nh.seed"]
+    try:
+        nh_list = [int(x) for x in cfg["exp_nh.nh_list"].split(",")]
+    except ValueError:
+        raise ConfigError(f"--nh-list (exp_nh.nh_list): expected comma-separated integers, "
+                          f"got {cfg['exp_nh.nh_list']!r}") from None
+    adapt_cfgs = [ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"]) for nh in nh_list]
+    protocol = ev.DetectorProtocol(n_points=cfg["exp_nh.n_points"], eps=cfg["exp_nh.eps"],
+                                   nms_radius=cfg["exp_nh.nms"])
     images = eval_images(cfg, "exp_nh", seed)
     pairs = ev.warped_pair_dataset(images, geo.ranges_preset("training"), seed=seed)
     base = heatmap_detector(cfg["exp_nh.weights"])
-    protocol = ev.DetectorProtocol(n_points=cfg["exp_nh.n_points"], eps=cfg["exp_nh.eps"],
-                                   nms_radius=cfg["exp_nh.nms"])
     rows = []
-    for nh in (int(x) for x in cfg["exp_nh.nh_list"].split(",")):
-        adapt_cfg = ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"])
-
+    for nh, adapt_cfg in zip(nh_list, adapt_cfgs):
         def detector(img, _cfg=adapt_cfg):
             per_image = zlib.crc32(img.tobytes()) ^ seed
             hm = ad.adapt(base, img, _cfg, seed=per_image)

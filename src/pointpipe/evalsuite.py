@@ -107,11 +107,6 @@ def localization_error(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
     return float(d.mean())
 
 
-def _in_bounds(xy: np.ndarray, shape) -> np.ndarray:
-    hgt, wdt = shape
-    return (xy[:, 0] >= 0) & (xy[:, 0] <= wdt - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= hgt - 1)
-
-
 def repeatability(pts1: np.ndarray, pts2: np.ndarray, h: np.ndarray, shape, eps: float) -> float:
     """Fraction of co-visible points re-detected across a known homography.
 
@@ -124,9 +119,9 @@ def repeatability(pts1: np.ndarray, pts2: np.ndarray, h: np.ndarray, shape, eps:
     pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, pts2.shape[-1] if len(pts2) else 3)
     hinv = geo.invert(h)
     if len(pts1):
-        pts1 = pts1[_in_bounds(geo.apply(h, pts1[:, :2]), shape)]
+        pts1 = pts1[geo.in_bounds(geo.apply(h, pts1[:, :2]), shape)]
     if len(pts2):
-        pts2 = pts2[_in_bounds(geo.apply(hinv, pts2[:, :2]), shape)]
+        pts2 = pts2[geo.in_bounds(geo.apply(hinv, pts2[:, :2]), shape)]
     n1, n2 = len(pts1), len(pts2)
     if n1 + n2 == 0:
         return 0.0
@@ -237,8 +232,8 @@ def _mscore_one_direction(pts_a, desc_a, pts_b, desc_b, h, shape, eps) -> float:
     pts_a = np.asarray(pts_a, dtype=np.float64)
     pts_b = np.asarray(pts_b, dtype=np.float64)
     hinv = geo.invert(h)
-    cov_a = _in_bounds(geo.apply(h, pts_a[:, :2]), shape) if len(pts_a) else np.zeros(0, bool)
-    cov_b = _in_bounds(geo.apply(hinv, pts_b[:, :2]), shape) if len(pts_b) else np.zeros(0, bool)
+    cov_a = geo.in_bounds(geo.apply(h, pts_a[:, :2]), shape) if len(pts_a) else np.zeros(0, bool)
+    cov_b = geo.in_bounds(geo.apply(hinv, pts_b[:, :2]), shape) if len(pts_b) else np.zeros(0, bool)
     n1, n2 = int(cov_a.sum()), int(cov_b.sum())
     if min(n1, n2) == 0:
         raise NoFeaturesInRegion("no features in the shared viewpoint region")
@@ -322,10 +317,10 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return geo.normalize(h)
 
 
-def _collinear_triple(xy: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Mask of the (..., 4, 2) samples with three points on a line, up to tol."""
+def _collinear_triple(xy: np.ndarray) -> np.ndarray:
+    """Mask of the (..., 4, 2) samples with three points on a line, up to 1e-6 of their extent."""
     extent = np.abs(xy).max(axis=(-2, -1))
-    bound = tol * np.where(extent > 1.0, extent, 1.0)
+    bound = 1e-6 * np.where(extent > 1.0, extent, 1.0)
     found = np.zeros(xy.shape[:-2], dtype=bool)
     for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
         v1 = xy[..., j, :] - xy[..., i, :]
@@ -334,11 +329,14 @@ def _collinear_triple(xy: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return found
 
 
+# Probability that the adaptive stop rule has drawn an all-inlier sample.
+RANSAC_CONFIDENCE = 0.995
+
+
 @dataclass(frozen=True)
 class RansacParams:
     threshold: float = 3.0  # px, symmetric transfer error
     max_iters: int = 2000
-    confidence: float = 0.995
     seed: int = 0
 
     def __post_init__(self):
@@ -346,8 +344,6 @@ class RansacParams:
             raise ValueError(f"RansacParams.max_iters must be >= 1, got {self.max_iters}")
         if not (math.isfinite(self.threshold) and self.threshold > 0.0):
             raise ValueError(f"RansacParams.threshold must be a finite number > 0, got {self.threshold}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"RansacParams.confidence must be in (0, 1), got {self.confidence}")
 
 
 # Minimal samples drawn and evaluated together by estimate_homography.
@@ -403,8 +399,8 @@ def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()
     """RANSAC over 4-point minimal DLT samples, refit on the best inlier set.
 
     Inliers satisfy a symmetric transfer error <= threshold; the iteration
-    count adapts from the running inlier ratio under the configured
-    confidence, capped at max_iters.  Deterministic per seed.  Samples are
+    count adapts from the running inlier ratio under RANSAC_CONFIDENCE,
+    capped at max_iters.  Deterministic per seed.  Samples are
     drawn and evaluated in blocks of RANSAC_BLOCK and then taken one by one
     in draw order, so the model, the draws counted and the stop are those of
     drawing and testing one sample at a time; draws past the stop are unused.
@@ -444,7 +440,7 @@ def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()
                 best_inliers = inliers
                 w = count / n
                 if 0.0 < w < 1.0:
-                    est = math.log(max(1e-12, 1.0 - params.confidence)) / math.log(1.0 - w**4)
+                    est = math.log(1.0 - RANSAC_CONFIDENCE) / math.log(1.0 - w**4)
                     needed = min(params.max_iters, max(i, int(math.ceil(est))))
                 elif w >= 1.0:
                     needed = i
@@ -484,6 +480,8 @@ class MatchingProtocol:
     ransac: RansacParams = RansacParams()
 
     def __post_init__(self):
+        if self.n_points < 0:
+            raise ValueError(f"MatchingProtocol.n_points must be >= 0 (0 keeps every point), got {self.n_points}")
         if not (math.isfinite(self.eps) and self.eps > 0.0):
             raise ValueError(f"MatchingProtocol.eps must be a finite number > 0, got {self.eps}")
         for e in self.eps_list:
@@ -600,7 +598,7 @@ def run_matching_benchmark(system, pairs, protocol: MatchingProtocol = MatchingP
                 if err <= e:
                     correct_counts[e] += 1
         except (InsufficientMatches, DegenerateConfiguration, EmptySet,
-                geo.Singular, geo.DegenerateProjection):
+                geo.Singular, geo.DegenerateProjection, np.linalg.LinAlgError):
             flags["estimation_failed"] += 1
         rows.append((idx, rep, mle if mle is not None else float("nan"), err))
     n = max(1, len(pairs))
@@ -615,8 +613,7 @@ def run_matching_benchmark(system, pairs, protocol: MatchingProtocol = MatchingP
     )
 
 
-def detector_gt_metrics(detector, samples, eps: float = 3.0,
-                        protocol: DetectorProtocol = DetectorProtocol()) -> tuple[float, float, int]:
+def detector_gt_metrics(detector, samples, eps: float = 3.0) -> tuple[float, float, int]:
     """(mAP, mean localization error, defined count) against rendered truth.
 
     Samples with empty ground truth are excluded from both averages and
@@ -628,7 +625,7 @@ def detector_gt_metrics(detector, samples, eps: float = 3.0,
         if len(sample.points) == 0:
             continue
         defined += 1
-        dets = select_points(detector(sample.image), protocol)
+        dets = select_points(detector(sample.image), DetectorProtocol())
         aps.append(average_precision(dets, sample.points, eps))
         try:
             les.append(localization_error(dets, sample.points, eps))

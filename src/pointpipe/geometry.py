@@ -97,40 +97,34 @@ def apply(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.stack([u / w, v / w], axis=-1)
 
 
+def in_bounds(xy: np.ndarray, shape) -> np.ndarray:
+    """Mask of the (N, 2+) points (x, y) inside an H x W image: 0 <= x <= W-1, 0 <= y <= H-1."""
+    hgt, wdt = shape
+    return (xy[:, 0] >= 0) & (xy[:, 0] <= wdt - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= hgt - 1)
+
+
+# Every homography draw takes the root center crop, then translation and
+# scale from these truncated normals (scale's mean is 1).
+CROP_RATIO = 0.8
+TRANSLATION_SIGMA = 0.1
+SCALE_SIGMA = 0.15
+TRUNCATION = 2.0  # draws are rejected beyond TRUNCATION sigmas
+
+
 @dataclass(frozen=True)
 class HomographyRanges:
-    """Sampling ranges for random homographies (unit-square frame).
+    """Sigmas of the zero-mean truncated normals for rotation (radians) and
+    perspective (unit-square frame), the two ranges the presets differ on."""
 
-    All sigmas parameterize zero-mean truncated normals except scale,
-    whose mean is 1.  ``crop_ratio`` is the side fraction kept by the
-    root center crop applied before the random transforms.
-    """
-
-    crop_ratio: float = 0.8
-    translation_sigma: float = 0.1
-    scale_sigma: float = 0.15
     rotation_sigma: float = math.pi / 8
     perspective_sigma: float = 0.1
-    truncation: float = 2.0
-    preset: str = "adaptation"
-
-    def __post_init__(self):
-        if not 0.0 < self.crop_ratio <= 1.0:
-            raise ValueError(f"crop_ratio must be in (0,1], got {self.crop_ratio}")
-        for name in ("translation_sigma", "scale_sigma", "rotation_sigma", "perspective_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.truncation <= 0.0:
-            raise ValueError("truncation must be > 0")
 
 
 # Joint training warps are milder: extreme in-plane rotations and strong
 # perspective are rare in matching pairs, so the training preset narrows both.
 PRESETS = {
-    "adaptation": HomographyRanges(preset="adaptation"),
-    "training": HomographyRanges(
-        rotation_sigma=math.pi / 24, perspective_sigma=0.05, preset="training"
-    ),
+    "adaptation": HomographyRanges(),
+    "training": HomographyRanges(rotation_sigma=math.pi / 24, perspective_sigma=0.05),
 }
 
 
@@ -141,11 +135,9 @@ def ranges_preset(name: str) -> HomographyRanges:
         raise ValueError(f"unknown homography preset {name!r}") from None
 
 
-def truncated_normal(rng: np.random.Generator, mean: float, sigma: float, truncation: float) -> float:
-    """Normal draw rejected outside mean +- truncation*sigma."""
-    if sigma == 0.0:
-        return mean
-    bound = truncation * sigma
+def truncated_normal(rng: np.random.Generator, mean: float, sigma: float) -> float:
+    """Normal draw rejected outside mean +- TRUNCATION*sigma."""
+    bound = TRUNCATION * sigma
     while True:
         x = rng.normal(0.0, sigma)
         if abs(x) <= bound:
@@ -163,26 +155,19 @@ def sample_homography(ranges: HomographyRanges, rng: np.random.Generator) -> np.
 
     Every parameter comes from a truncated normal; the crop, scale,
     rotation, and perspective components act about the unit-square center.
-    Deterministic for a fixed generator state.  The (rare) draw of a
-    non-invertible matrix is resampled, up to 100 attempts.
+    Deterministic for a fixed generator state.
     """
-    for _ in range(100):
-        crop = _about_center(scaling(ranges.crop_ratio, ranges.crop_ratio))
-        t = translation(
-            truncated_normal(rng, 0.0, ranges.translation_sigma, ranges.truncation),
-            truncated_normal(rng, 0.0, ranges.translation_sigma, ranges.truncation),
-        )
-        s = truncated_normal(rng, 1.0, ranges.scale_sigma, ranges.truncation)
-        scale = _about_center(scaling(s, s))
-        rot = _about_center(rotation(truncated_normal(rng, 0.0, ranges.rotation_sigma, ranges.truncation)))
-        persp = identity()
-        persp[2, 0] = truncated_normal(rng, 0.0, ranges.perspective_sigma, ranges.truncation)
-        persp[2, 1] = truncated_normal(rng, 0.0, ranges.perspective_sigma, ranges.truncation)
-        persp = _about_center(persp)
-        h = persp @ rot @ scale @ t @ crop
-        if abs(np.linalg.det(h)) >= DET_EPS:
-            return normalize(h)
-    raise Singular("no invertible homography in 100 draws")
+    crop = _about_center(scaling(CROP_RATIO, CROP_RATIO))
+    t = translation(truncated_normal(rng, 0.0, TRANSLATION_SIGMA), truncated_normal(rng, 0.0, TRANSLATION_SIGMA))
+    s = truncated_normal(rng, 1.0, SCALE_SIGMA)
+    scale = _about_center(scaling(s, s))
+    rot = _about_center(rotation(truncated_normal(rng, 0.0, ranges.rotation_sigma)))
+    persp = identity()
+    persp[2, 0] = truncated_normal(rng, 0.0, ranges.perspective_sigma)
+    persp[2, 1] = truncated_normal(rng, 0.0, ranges.perspective_sigma)
+    persp = _about_center(persp)
+    # rotation and perspective have det 1, so det(h) = CROP_RATIO**2 * s**2 >= 0.8**2 * 0.7**2 = 0.3136
+    return normalize(persp @ rot @ scale @ t @ crop)
 
 
 def to_pixel_frame(h_unit: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

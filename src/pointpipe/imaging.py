@@ -281,14 +281,14 @@ def read_pgm(path) -> np.ndarray:
     return (pixels.reshape(hgt, wdt).astype(np.float32)) / 255.0
 
 
-def overlay_points(img: np.ndarray, points: np.ndarray, arm: int = 3) -> np.ndarray:
-    """White crosses (3-px arms by default) at point locations, for overlays."""
+def overlay_points(img: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """White crosses with 3-px arms at point locations, for overlays."""
     out = np.asarray(img, dtype=np.float32).copy()
     hgt, wdt = out.shape
     for x, y in np.asarray(points)[:, :2]:
         xi, yi = int(round(float(x))), int(round(float(y)))
         if not (0 <= xi < wdt and 0 <= yi < hgt):
             continue
-        out[yi, max(0, xi - arm) : min(wdt, xi + arm + 1)] = 1.0
-        out[max(0, yi - arm) : min(hgt, yi + arm + 1), xi] = 1.0
+        out[yi, max(0, xi - 3) : min(wdt, xi + 4)] = 1.0
+        out[max(0, yi - 3) : min(hgt, yi + 4), xi] = 1.0
     return out

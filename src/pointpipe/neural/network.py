@@ -36,14 +36,10 @@ class ArchConfig:
     encoder_widths: tuple = (64, 64, 64, 64, 128, 128, 128, 128)
     head_width: int = 256
     descriptor_dim: int = 256
-    detector_out: int = DETECTOR_OUT
-    cell: int = CELL
 
     def __post_init__(self):
         if len(self.encoder_widths) != 8:
             raise ValueError("encoder needs exactly 8 conv widths")
-        if self.cell != CELL or self.detector_out != CELL * CELL + 1:
-            raise ValueError("cell is fixed at 8 and detector_out at 65")
 
 
 ARCH_PRESETS = {
@@ -72,7 +68,7 @@ class PointNet:
         self.det_head = Conv2d(self.store, "det.head", feat, arch.head_width, 3, rng, bias=False)
         self.det_head_bn = BatchNorm2d(self.store, "det.head.bn", arch.head_width)
         self.det_head_relu = ReLU()
-        self.det_out = Conv2d(self.store, "det.out", arch.head_width, arch.detector_out, 1, rng)
+        self.det_out = Conv2d(self.store, "det.out", arch.head_width, DETECTOR_OUT, 1, rng)
         if with_descriptor:
             self.desc_head = Conv2d(self.store, "desc.head", feat, arch.head_width, 3, rng, bias=False)
             self.desc_head_bn = BatchNorm2d(self.store, "desc.head.bn", arch.head_width)

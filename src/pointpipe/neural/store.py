@@ -41,9 +41,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def names(self):
         return list(self.params.keys())
 
@@ -67,7 +64,12 @@ class ParamStore:
                 raise KeyError(f"weight file is missing parameter {name!r}")
 
 
-def adam_step(store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, t=1) -> ParamStore:
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr=1e-3, t=1) -> ParamStore:
     """Bias-corrected Adam update on every trainable parameter (in place)."""
     if t < 1:
         raise ValueError("t is a 1-based step counter")
@@ -83,13 +85,13 @@ def adam_step(store: ParamStore, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, t=1)
         if v is None:
             v = store._adam_v[name] = np.zeros_like(p.data)
         g = p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.data.dtype, copy=False)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        mhat = m / (1.0 - ADAM_BETA1**t)
+        vhat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= (lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.data.dtype, copy=False)
     return store
 
 

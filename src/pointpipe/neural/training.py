@@ -149,8 +149,8 @@ def train_magicpoint(arch: ArchConfig, stream_cfg: StreamConfig, cfg: TrainConfi
     return _fit(model, cfg, batch, log=log, checkpoint_dir=checkpoint_dir, progress=progress)
 
 
-def train_detector_on_labels(arch: ArchConfig, dataset, cfg: TrainConfig, size: tuple[int, int], base_state=None,
-                             log: LossLog | None = None, checkpoint_dir=None, progress=None) -> PointNet:
+def train_detector_on_labels(arch: ArchConfig, dataset, cfg: TrainConfig, size: tuple[int, int],
+                             base_state=None) -> PointNet:
     """Supervised detector training on (image, points) pairs with random crops.
 
     Used by the self-labeling rounds: images may be larger than the training
@@ -172,12 +172,12 @@ def train_detector_on_labels(arch: ArchConfig, dataset, cfg: TrainConfig, size: 
             crop = img[oy : oy + hgt, ox : ox + wdt]
             shifted = pts.copy()
             shifted[:, :2] -= (ox, oy)
-            shifted = shifted[np.all((shifted[:, :2] >= 0) & (shifted[:, :2] <= (wdt - 1, hgt - 1)), axis=1)]
+            shifted = shifted[geo.in_bounds(shifted, size)]
             xs.append(crop)
             ys.append(cells_from_points(shifted, hgt, wdt, rng))
         return np.stack(xs)[:, None, :, :], np.stack(ys), None
 
-    return _fit(model, cfg, batch, log=log, checkpoint_dir=checkpoint_dir, progress=progress)
+    return _fit(model, cfg, batch)
 
 
 def train_superpoint(base_state, arch: ArchConfig, dataset, cfg: TrainConfig, loss_cfg: LossConfig = LossConfig(),

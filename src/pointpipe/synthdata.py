@@ -60,10 +60,10 @@ def empty_points() -> np.ndarray:
     return np.zeros((0, 3), dtype=np.float64)
 
 
-def make_points(xy, confidence=1.0) -> np.ndarray:
+def make_points(xy) -> np.ndarray:
+    """(N, 3) points of confidence 1 at the given (x, y)."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    conf = np.full((len(xy), 1), float(confidence))
-    return np.hstack([xy, conf])
+    return np.hstack([xy, np.ones((len(xy), 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +205,8 @@ def _is_convex(pts):
     return bool(np.all(cross > 1e-9) or np.all(cross < -1e-9))
 
 
-def _random_convex_polygon(rng, center, radius, n_vertices, attempts=60):
-    for _ in range(attempts):
+def _random_convex_polygon(rng, center, radius, n_vertices):
+    for _ in range(60):
         angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_vertices))
         if np.min(np.diff(np.append(angles, angles[0] + 2 * math.pi))) < 2.0 * math.pi / (3 * n_vertices):
             continue
@@ -247,8 +247,8 @@ def _background(rng, height, width):
     return np.repeat(np.repeat(img, SUPERSAMPLE, axis=0), SUPERSAMPLE, axis=1), base
 
 
-def _contrast_color(rng, avoid, min_gap=0.25, attempts=100):
-    for _ in range(attempts):
+def _contrast_color(rng, avoid, min_gap=0.25):
+    for _ in range(100):
         c = rng.uniform(0.02, 0.98)
         if all(abs(c - a) >= min_gap for a in avoid):
             return c
@@ -559,7 +559,7 @@ def homographic_augment(sample: ShapeSample, h: np.ndarray) -> ShapeSample:
     if len(sample.points):
         xy = geo.apply(h, sample.points[:, :2])
         hgt, wdt = warped.shape
-        keep = (xy[:, 0] >= 0) & (xy[:, 0] <= wdt - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= hgt - 1)
+        keep = geo.in_bounds(xy, warped.shape)
         xi = np.clip(np.rint(xy[:, 0]).astype(int), 0, wdt - 1)
         yi = np.clip(np.rint(xy[:, 1]).astype(int), 0, hgt - 1)
         keep &= mask[yi, xi]
@@ -569,16 +569,16 @@ def homographic_augment(sample: ShapeSample, h: np.ndarray) -> ShapeSample:
     return ShapeSample(warped, points, sample.category, dict(sample.meta))
 
 
-def render_square(width: int, canvas: int = 96) -> ShapeSample:
-    """Pixel-aligned black square on white, for the blob-vs-corner sweep.
+def render_square(width: int) -> ShapeSample:
+    """Pixel-aligned black square on a white 96 x 96 canvas, for the blob-vs-corner sweep.
 
     Ground truth: four corner pixels then the center pixel (blob center,
     always the last point).
     """
     if width % 2 == 0 or not 3 <= width <= 91:
         raise WidthOutOfRange(f"width must be odd and within [3, 91], got {width}")
-    img = np.ones((canvas, canvas), dtype=np.float32)
-    c = (canvas - 1) / 2.0
+    img = np.ones((96, 96), dtype=np.float32)
+    c = 47.5  # canvas center
     half = (width - 1) / 2.0
     lo, hi = c - half, c + half  # corner coordinates; for odd widths these are x.5
     lo_px, hi_px = int(math.ceil(lo)), int(math.floor(hi))
@@ -587,7 +587,7 @@ def render_square(width: int, canvas: int = 96) -> ShapeSample:
     return ShapeSample(img, pts, ShapeCategory.QUADRILATERAL, {"blob_index": 4, "square_width": width})
 
 
-def render_composite(size: tuple[int, int], rng: np.random.Generator, n_shapes=(4, 9)) -> ShapeSample:
+def render_composite(size: tuple[int, int], rng: np.random.Generator) -> ShapeSample:
     """Cluttered multi-shape scene; benchmark corpus material.
 
     Later shapes occlude earlier ones; occluded or boundary-grazing ground
@@ -597,7 +597,7 @@ def render_composite(size: tuple[int, int], rng: np.random.Generator, n_shapes=(
     bg, bg_base = _background(rng, height, width)
     canvas = _Canvas(height, width, bg)
     entries = []  # (points, occluder polygon or None)
-    n = int(rng.integers(*n_shapes))
+    n = int(rng.integers(4, 9))
     colors = [bg_base]
     for _ in range(n * 6):
         if len(entries) >= n:

@@ -12,6 +12,17 @@ def harris_detector(img):
     return cl.harris(img)
 
 
+def diamond_erosion(mask, r):
+    """Pixels whose every in-image neighbor within L1 distance r is set."""
+    hgt, wdt = mask.shape
+    padded = np.pad(mask, r, constant_values=True)
+    out = np.ones_like(mask)
+    for dy in range(-r, r + 1):
+        for dx in range(abs(dy) - r, r - abs(dy) + 1):
+            out &= padded[r + dy : r + dy + hgt, r + dx : r + dx + wdt]
+    return out
+
+
 def step_corner(size=64, corner=(32, 32)):
     img = np.ones((size, size), dtype=np.float32)
     img[corner[1]:, corner[0]:] = 0.0
@@ -59,20 +70,21 @@ class TestAdapt:
         img = sd.render_composite((48, 48), np.random.default_rng(4)).image
         n = 6
         seed = 7
-        cfg = ad.AdaptConfig(n_homographies=n, mask_erosion=0)
-        const = lambda im: np.ones(im.shape, dtype=np.float32)
-        out = ad.adapt(const, img, cfg, seed=seed)
-        # oracle: accumulate coverage masks only, same seed derivation
+        cfg = ad.AdaptConfig(n_homographies=n)
+        # the intensities as the response: a constant one would average to 1 under any erosion
+        out = ad.adapt(lambda im: im, img, cfg, seed=seed)
+        # oracle: the eroded coverage masks give each pixel's count, same seed derivation
         count = np.ones(img.shape, dtype=np.float64)
-        accum = np.ones(img.shape, dtype=np.float64)
+        accum = img.astype(np.float64)
         for i in range(1, n):
             rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
             h = geo.to_pixel_frame(geo.sample_homography(geo.ranges_preset("adaptation"), rng), img.shape)
             hinv = geo.invert(h)
-            _, fwd = geo.warp_image(img, h)
-            resp = np.where(fwd, 1.0, 0.0).astype(np.float32)
+            warped, fwd = geo.warp_image(img, h)
+            valid = diamond_erosion(fwd, ad.MASK_EROSION)
+            resp = np.where(valid, warped, 0.0).astype(np.float32)
             back, bm = geo.warp_image(resp, hinv)
-            cf, cm = geo.warp_image(fwd.astype(np.float32), hinv)
+            cf, cm = geo.warp_image(valid.astype(np.float32), hinv)
             cov = bm & cm & (cf >= 1.0 - 1e-6)
             accum += np.where(cov, back, 0.0)
             count += cov

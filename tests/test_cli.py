@@ -140,6 +140,28 @@ class TestExitCodes:
         assert "TrainConfig.batch_size must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_rounds_exit_3_without_output(self, tmp_path, capsys):
+        images = tmp_path / "images"
+        images.mkdir()
+        im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        out = tmp_path / "labels"
+        assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
+                    "--rounds", "0"]) == 3
+        assert "rounds must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nh_list, code, message", [
+        ("1,x", 2, "--nh-list (exp_nh.nh_list): expected comma-separated integers, got '1,x'"),
+        ("1,0", 3, "need at least one homography"),
+    ])
+    def test_bad_nh_list_rejected_before_work(self, tmp_path, capsys, nh_list, code, message):
+        assert run(["exp-nh-sweep", "--weights", "harris", "--count", "1", "--height", "48", "--width", "48",
+                    "--nh-list", nh_list, "--out", str(tmp_path / "nh.csv")]) == code
+        out, err = capsys.readouterr()
+        assert message in err
+        assert out == ""
+        assert os.listdir(tmp_path) == []
+
     def test_negative_point_budget_exits_3(self, tmp_path, capsys):
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
@@ -174,6 +196,7 @@ class TestExitCodes:
         (["--eps-list", "1,inf"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got inf"),
         (["--eps-list", ""], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers, got ''"),
         (["--eps-list", "1,,3"], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers"),
+        (["--n-points", "-1"], 3, "MatchingProtocol.n_points must be >= 0 (0 keeps every point), got -1"),
     ])
     def test_bad_matching_eps_rejected_before_work(self, tmp_path, capsys, flags, code, message):
         assert run(["eval-matching", "--weights", str(tmp_path / "unread.spw"), "--count", "1",

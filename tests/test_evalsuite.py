@@ -250,7 +250,7 @@ def estimate_homography_loop(matches, params, stats=None):
             best_score, best_inliers = score, inliers
             w = count / n
             if 0.0 < w < 1.0:
-                est = math.log(max(1e-12, 1.0 - params.confidence)) / math.log(1.0 - w**4)
+                est = math.log(max(1e-12, 1.0 - ev.RANSAC_CONFIDENCE)) / math.log(1.0 - w**4)
                 needed = min(params.max_iters, max(i, int(math.ceil(est))))
             elif w >= 1.0:
                 needed = i
@@ -748,8 +748,7 @@ class TestEstimateHomographyEqualsLoop:
 class TestRansacParams:
     @pytest.mark.parametrize("field, value", [
         ("max_iters", 0), ("max_iters", -5), ("threshold", 0.0), ("threshold", -1.0),
-        ("threshold", float("nan")), ("threshold", float("inf")), ("confidence", 0.0),
-        ("confidence", 1.0), ("confidence", float("nan")),
+        ("threshold", float("nan")), ("threshold", float("inf")),
     ])
     def test_rejects_named_field(self, field, value):
         with pytest.raises(ValueError, match=f"RansacParams.{field}"):
@@ -795,7 +794,7 @@ class TestBenchmarks:
             pts = np.asarray(pts)
             lookup[img_a.tobytes()] = pts
             warped = geo.apply(h, pts[:, :2])
-            keep = ev._in_bounds(warped, img_b.shape)
+            keep = geo.in_bounds(warped, img_b.shape)
             lookup[img_b.tobytes()] = np.hstack([warped[keep], pts[keep, 2:3]])
 
         def det(img):
@@ -822,8 +821,10 @@ class TestBenchmarks:
         assert table[-4:] == [f"{k:<18} {v:>10d}" for k, v in
                               [("estimated", 1), ("no_matches", 0), ("no_features", 0), ("estimation_failed", 0)]]
 
-    def test_gt_points_one_hot_descriptors_exact_estimation(self):
-        samples = [sd.render_composite((96, 96), np.random.default_rng(20 + i)) for i in range(3)]
+    def gt_point_system(self, n):
+        """Warped composite pairs and a lookup from each image to its ground-truth
+        points and distinct near-one-hot descriptors."""
+        samples = [sd.render_composite((96, 96), np.random.default_rng(20 + i)) for i in range(n)]
         pairs = ev.warped_pair_dataset([s.image for s in samples], geo.ranges_preset("training"), seed=7)
         tables = {}
         for s, (img_a, img_b, h) in zip(samples, pairs):
@@ -831,12 +832,25 @@ class TestBenchmarks:
             desc = np.stack([one_hot(i % 16, 16) + 0.01 * i for i in range(len(pts))])
             tables[img_a.tobytes()] = (pts, desc)
             warped = geo.apply(h, pts[:, :2])
-            keep = ev._in_bounds(warped, img_b.shape)
+            keep = geo.in_bounds(warped, img_b.shape)
             tables[img_b.tobytes()] = (np.hstack([warped[keep], pts[keep, 2:3]]), desc[keep])
+        return pairs, tables
 
+    def test_gt_points_one_hot_descriptors_exact_estimation(self):
+        pairs, tables = self.gt_point_system(3)
         report = ev.run_matching_benchmark(lambda im: tables[im.tobytes()], pairs,
                                            ev.MatchingProtocol(eps_list=(1.0, 3.0)))
         assert report.correctness[1.0] == 1.0
+
+    def test_non_finite_points_count_as_failed_estimation(self):
+        # RANSAC's SVD raises LinAlgError on a sample with a NaN coordinate; the run goes on
+        pairs, tables = self.gt_point_system(2)
+        for pts, _ in tables.values():
+            pts[::4, 0] = np.nan
+        report = ev.run_matching_benchmark(lambda im: tables[im.tobytes()], pairs)
+        assert report.counts["pairs"] == 2
+        assert report.counts["estimation_failed"] == 2
+        assert [math.isnan(row[3]) for row in report.rows] == [True, True]
 
     def test_report_csv_written(self, tmp_path):
         pairs = self.composite_pairs(3)

@@ -49,8 +49,6 @@ class TestShapes:
     def test_arch_validation(self):
         with pytest.raises(ValueError):
             ArchConfig(encoder_widths=(8, 8))
-        with pytest.raises(ValueError):
-            ArchConfig(detector_out=64)
 
 
 class TestAnyImageSize:

@@ -243,18 +243,6 @@ class TestTrainDetectorOnLabels:
         with pytest.raises(EmptyDataset):
             train_detector_on_labels(MICRO, [], TrainConfig(iterations=1), size=(32, 32))
 
-    def test_checkpoints_and_progress(self, tmp_path):
-        calls = []
-        cfg = TrainConfig(iterations=4, batch_size=2, seed=14, checkpoint_every=2)
-        model = train_detector_on_labels(MICRO, composite_dataset(), cfg, size=(32, 32),
-                                         checkpoint_dir=str(tmp_path), progress=lambda it, loss: calls.append((it, loss)))
-        assert [it for it, _ in calls] == [0, 1, 2, 3]
-        assert all(np.isfinite(loss) for _, loss in calls)
-        assert sorted(os.listdir(tmp_path)) == ["checkpoint_000002.spw", "checkpoint_000004.spw"]
-        final = load_weights(tmp_path / "checkpoint_000004.spw")
-        for name in model.store.names():
-            np.testing.assert_array_equal(final[name], model.store[name].data)
-
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize(
