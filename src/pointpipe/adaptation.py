@@ -91,7 +91,8 @@ def self_label(images, detector, cfg: AdaptConfig, rounds: int, retrain=None,
     detector; when ``retrain`` is given (callable(labeled_dataset, round) ->
     new detector) the freshly trained detector drives the next round.
     Returns a list of (labels, detector) per round; label directories
-    ``round_R`` with one .pts per image plus meta.txt go under out_dir.
+    ``round_R`` with one .pts per image plus meta.txt (settings and the
+    per-image point counts in image order) go under out_dir.
     """
     images = list(images)
     if not images:
@@ -115,6 +116,7 @@ def self_label(images, detector, cfg: AdaptConfig, rounds: int, retrain=None,
                 f.write(f"seed={seed}\n")
                 f.write(f"threshold={cfg.detect_threshold}\n")
                 f.write(f"nms_radius={cfg.nms_radius}\n")
+                f.write(f"points={','.join(str(len(pts)) for pts in labels)}\n")
         if retrain is not None:
             current = retrain(list(zip(images, labels)), r)
         history.append((labels, current))

@@ -46,9 +46,28 @@ class NoFeaturesInRegion(ValueError):
 # detector metrics
 
 
+# Rows of a per block in _nearest_distance and of desc_a per GEMM block in match_nn.
+MATCH_CHUNK = 256
+
+
 def _nearest_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from each point of ``a`` to its nearest point of ``b`` (x, y only)."""
-    return np.linalg.norm(a[:, None, :2] - b[None, :, :2], axis=2).min(axis=1)
+    """Distance from each point of ``a`` to its nearest point of ``b`` (x, y only).
+
+    Bitwise ``np.linalg.norm(a[:, None, :2] - b[None, :, :2], axis=2).min(axis=1)``:
+    norm sums dx^2 + dy^2 in that order, and sqrt is correctly rounded and
+    monotone, so the square root of each row's smallest sum is its smallest
+    distance (NaN propagates through min either way).
+    """
+    bx, by = b[:, 0], b[:, 1]
+    out = np.empty(len(a))
+    for s in range(0, len(a), MATCH_CHUNK):
+        dx = a[s:s + MATCH_CHUNK, 0, None] - bx
+        dx *= dx
+        dy = a[s:s + MATCH_CHUNK, 1, None] - by
+        dy *= dy
+        dx += dy
+        dx.min(axis=1, out=out[s:s + MATCH_CHUNK])
+    return np.sqrt(out, out=out)
 
 
 def _det_order(dets: np.ndarray) -> np.ndarray:
@@ -143,10 +162,6 @@ class MatchSet:
     distance: np.ndarray  # (M,) descriptor distances
     points_a: np.ndarray  # (Na, 3)
     points_b: np.ndarray  # (Nb, 3)
-
-
-# Rows of desc_a per GEMM block in match_nn.
-MATCH_CHUNK = 256
 
 
 def _differencing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -384,11 +399,17 @@ def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, thr
         fu, fv, fw = geo.project(h, a_xy)
         bu, bv, bw = geo.project(hinv, b_xy)
         ok &= ~(np.abs(fw) < geo.DET_EPS).any(axis=1) & ~(np.abs(bw) < geo.DET_EPS).any(axis=1)
-        fx = fu / fw - b_xy[:, 0]
-        fy = fv / fw - b_xy[:, 1]
-        bx = bu / bw - a_xy[:, 0]
-        by = bv / bw - a_xy[:, 1]
-        err = 0.5 * (np.sqrt(fx * fx + fy * fy) + np.sqrt(bx * bx + by * by))
+        # 0.5 * (sqrt(fx*fx + fy*fy) + sqrt(bx*bx + by*by)) with fx = fu / fw - b_x and
+        # so on, computed in place by the same operations in the same order
+        for num, den, ref in ((fu, fw, b_xy[:, 0]), (fv, fw, b_xy[:, 1]), (bu, bw, a_xy[:, 0]), (bv, bw, a_xy[:, 1])):
+            num /= den
+            num -= ref
+            num *= num
+        fu += fv
+        bu += bv
+        err = np.sqrt(fu, out=fu)
+        err += np.sqrt(bu, out=bu)
+        err *= 0.5
     outcome[live] = np.where(ok, _SCORED, _FAILED)
     errors[live] = err
     counts[live] = (err <= threshold).sum(axis=1)

@@ -79,7 +79,13 @@ def project(h: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     under one (3, 3) homography or a stack of (..., 3, 3) ones, each (..., N),
     before any division."""
     x, y = pts[..., 0], pts[..., 1]
-    return tuple(h[..., r, 0, None] * x + h[..., r, 1, None] * y + h[..., r, 2, None] for r in range(3))
+    rows = []
+    for r in range(3):
+        t = h[..., r, 0, None] * x
+        t += h[..., r, 1, None] * y
+        t += h[..., r, 2, None]
+        rows.append(t)
+    return tuple(rows)
 
 
 def apply(h: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -187,12 +193,14 @@ def warp_image(img: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     img = np.asarray(img)
     hgt, wdt = img.shape
     hinv = invert(h)
-    uu, vv = np.meshgrid(np.arange(wdt, dtype=np.float64), np.arange(hgt, dtype=np.float64))
-    w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+    # a (1, W) row of u and an (H, 1) column of v broadcast to every pixel's (u, v)
+    u = np.arange(wdt, dtype=np.float64)[None, :]
+    v = np.arange(hgt, dtype=np.float64)[:, None]
+    w = hinv[2, 0] * u + hinv[2, 1] * v + hinv[2, 2]
     finite = np.abs(w) >= DET_EPS
     wsafe = np.where(finite, w, 1.0)
-    sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / wsafe
-    sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / wsafe
+    sx = (hinv[0, 0] * u + hinv[0, 1] * v + hinv[0, 2]) / wsafe
+    sy = (hinv[1, 0] * u + hinv[1, 1] * v + hinv[1, 2]) / wsafe
     mask = finite & (sx >= 0.0) & (sx <= wdt - 1) & (sy >= 0.0) & (sy <= hgt - 1)
 
     from .imaging import bilinear_many  # local import to avoid cycle at module load

@@ -61,14 +61,18 @@ def bilinear_many(img: np.ndarray, xs, ys) -> np.ndarray:
     ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, hgt - 1)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
-    x1 = np.minimum(x0 + 1, wdt - 1)
-    y1 = np.minimum(y0 + 1, hgt - 1)
     fx = xs - x0
     fy = ys - y0
-    v00 = img[y0, x0]
-    v01 = img[y0, x1]
-    v10 = img[y1, x0]
-    v11 = img[y1, x1]
+    # gather from the flat image; the +1 column and row steps stay on the last column and row
+    flat = img.ravel()
+    i00 = y0 * wdt
+    i00 += x0
+    step_x = x0 < wdt - 1
+    i10 = i00 + (y0 < hgt - 1) * wdt
+    v00 = flat.take(i00)
+    v01 = flat.take(i00 + step_x)
+    v10 = flat.take(i10)
+    v11 = flat.take(i10 + step_x)
     top = v00 + (v01 - v00) * fx
     bot = v10 + (v11 - v10) * fx
     return top + (bot - top) * fy

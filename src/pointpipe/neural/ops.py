@@ -93,10 +93,13 @@ class Conv2d:
 
 class ReLU:
     def forward(self, x, train: bool):
-        mask = x > 0
         if train:
-            self._mask = mask
-        return np.where(mask, x, 0.0).astype(x.dtype, copy=False)
+            self._mask = x > 0
+        # bitwise np.where(x > 0, x, 0.0): fmax maps NaN and -inf to 0, and
+        # adding +0.0 turns a -0.0 that fmax may return into +0.0
+        y = np.fmax(x, 0.0)
+        y += 0.0
+        return y
 
     def backward(self, dy):
         return np.where(self._mask, dy, 0.0).astype(dy.dtype, copy=False)
@@ -153,15 +156,20 @@ class BatchNorm2d:
         else:
             mu, var = self.running_mean.data, self.running_var.data
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mu.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        if train:
-            self.running_mean.data = (
-                self.MOMENTUM * self.running_mean.data + (1.0 - self.MOMENTUM) * mu
-            ).astype(self.running_mean.data.dtype)
-            self.running_var.data = (
-                self.MOMENTUM * self.running_var.data + (1.0 - self.MOMENTUM) * var
-            ).astype(self.running_var.data.dtype)
-            self._cache = (xhat, inv_std)
+        # the arithmetic runs in place on the x - mu temporary, never on x
+        xhat = x - mu.reshape(1, c, 1, 1)
+        xhat *= inv_std.reshape(1, c, 1, 1)
+        if not train:
+            xhat *= self.gamma.data.reshape(1, c, 1, 1)
+            xhat += self.beta.data.reshape(1, c, 1, 1)
+            return xhat
+        self.running_mean.data = (
+            self.MOMENTUM * self.running_mean.data + (1.0 - self.MOMENTUM) * mu
+        ).astype(self.running_mean.data.dtype)
+        self.running_var.data = (
+            self.MOMENTUM * self.running_var.data + (1.0 - self.MOMENTUM) * var
+        ).astype(self.running_var.data.dtype)
+        self._cache = (xhat, inv_std)
         return self.gamma.data.reshape(1, c, 1, 1) * xhat + self.beta.data.reshape(1, c, 1, 1)
 
     def backward(self, dy):

@@ -153,6 +153,9 @@ class TestSelfLabel:
         assert (tmp_path / "round_1" / "000000.pts").exists()
         meta = (tmp_path / "round_1" / "meta.txt").read_text()
         assert "n_homographies=1" in meta and "seed=1" in meta
+        counts = [len(sd.read_points(tmp_path / "round_1" / f"{i:06d}.pts")) for i in range(len(imgs))]
+        assert meta.splitlines()[-1] == "points=" + ",".join(map(str, counts))
+        assert counts == [len(pts) for pts in labels] and len(set(counts)) > 1
 
     def test_reproducible_label_files(self, tmp_path):
         imgs = [sd.render_composite((64, 64), np.random.default_rng(30 + i)).image for i in range(2)]

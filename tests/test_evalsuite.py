@@ -154,8 +154,9 @@ def oracle_matching_score_dir(pts_a, desc_a, pts_b, desc_b, h, shape, eps):
 
 
 # ---------------------------------------------------------------------------
-# the per-pair and per-hypothesis implementations that match_nn and
-# estimate_homography replaced; the block versions must return the same bytes
+# the per-pair and per-hypothesis implementations that match_nn,
+# estimate_homography and _nearest_distance replaced; the block versions must
+# return the same bytes
 
 
 def match_nn_differencing(desc_a, desc_b, chunk=16):
@@ -168,6 +169,11 @@ def match_nn_differencing(desc_a, desc_b, chunk=16):
         d[s:s + chunk] = np.sqrt((diff * diff).sum(axis=2))
     idx_b = d.argmin(axis=1)
     return idx_b, d[np.arange(len(desc_a)), idx_b]
+
+
+def nearest_distance_dense(a, b):
+    """Distance to the nearest point of b through the dense (N, M, 2) norm."""
+    return np.linalg.norm(a[:, None, :2] - b[None, :, :2], axis=2).min(axis=1)
 
 
 def apply_one(h, pts):
@@ -479,6 +485,51 @@ class TestMatchNN:
         for i, (j, d) in enumerate(want):
             assert m.idx_b[i] == j
             assert abs(m.distance[i] - d) <= 1e-9
+
+
+class TestNearestDistance:
+    @staticmethod
+    def assert_equals_dense(a, b):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = ev._nearest_distance(a, b)
+            want = nearest_distance_dense(a, b)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_ties_duplicates_and_exact_eps(self):
+        lattice = np.array([[x, y, 1.0] for x in range(-3, 4) for y in range(-3, 4)], dtype=np.float64)
+        b = np.vstack([lattice, lattice[::2]])  # duplicate points
+        a = np.vstack([lattice + 0.5, lattice, [[3.0, 4.0, 0.0]], [[0.1, 0.2, 0.0]]])  # ties at 0.5, 0 and 1
+        self.assert_equals_dense(a, b)
+        d = ev._nearest_distance(np.array([[3.0, 4.0]]), np.array([[0.0, 0.0, 1.0], [6.0, 8.0, 1.0]]))
+        assert d[0] == 5.0  # exactly eps = 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_either_set(self, bad):
+        rng = np.random.default_rng(21)
+        a = rng.uniform(0, 50, (40, 3))
+        b = rng.uniform(0, 50, (30, 3))
+        a[3, 0] = bad
+        a[7, 1] = bad
+        b[5, 1] = bad
+        b[11, 0] = bad
+        self.assert_equals_dense(a, b)
+        self.assert_equals_dense(b, a)
+        b_all = np.full((4, 3), bad)
+        self.assert_equals_dense(a, b_all)
+
+    @pytest.mark.parametrize("n, m", [(1, 300), (300, 1), (1, 1)])
+    def test_single_point_sets(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        self.assert_equals_dense(rng.uniform(-5, 5, (n, 2)), rng.uniform(-5, 5, (m, 3)))
+
+    @pytest.mark.parametrize("n", [ev.MATCH_CHUNK - 1, ev.MATCH_CHUNK, ev.MATCH_CHUNK + 1, 3 * ev.MATCH_CHUNK + 17])
+    def test_across_block_borders(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0, 320, (n, 3))
+        b = np.vstack([a[rng.integers(0, n, n // 2)] + rng.normal(0, 2, (n // 2, 3)), rng.uniform(0, 320, (500, 3))])
+        self.assert_equals_dense(a, b)
 
 
 def one_hot(i, d=16):

@@ -2,6 +2,41 @@ import numpy as np
 import pytest
 
 from pointpipe import geometry as geo
+from pointpipe import imaging as im
+
+
+# ---------------------------------------------------------------------------
+# the expressions that project and warp_image replaced; the new code must
+# return the same bytes
+
+
+def project_expression(h, pts):
+    """geo.project's three homogeneous rows, each as one expression."""
+    x, y = pts[..., 0], pts[..., 1]
+    return tuple(h[..., r, 0, None] * x + h[..., r, 1, None] * y + h[..., r, 2, None] for r in range(3))
+
+
+def warp_image_meshgrid(img, h):
+    """geo.warp_image computed on full meshgrid coordinate arrays."""
+    hgt, wdt = img.shape
+    hinv = geo.invert(h)
+    uu, vv = np.meshgrid(np.arange(wdt, dtype=np.float64), np.arange(hgt, dtype=np.float64))
+    w = hinv[2, 0] * uu + hinv[2, 1] * vv + hinv[2, 2]
+    finite = np.abs(w) >= geo.DET_EPS
+    wsafe = np.where(finite, w, 1.0)
+    sx = (hinv[0, 0] * uu + hinv[0, 1] * vv + hinv[0, 2]) / wsafe
+    sy = (hinv[1, 0] * uu + hinv[1, 1] * vv + hinv[1, 2]) / wsafe
+    mask = finite & (sx >= 0.0) & (sx <= wdt - 1) & (sy >= 0.0) & (sy <= hgt - 1)
+    out = im.bilinear_many(img, sx.ravel(), sy.ravel()).reshape(hgt, wdt)
+    return np.where(mask, out, 0.0).astype(img.dtype, copy=False), mask
+
+
+def random_homographies(rng, n, shape=(240, 320)):
+    """Pixel-frame adaptation draws, then plain normal matrices of mixed scale."""
+    ranges = geo.ranges_preset("adaptation")
+    hs = [geo.to_pixel_frame(geo.sample_homography(ranges, rng), shape) for _ in range(n)]
+    hs += [rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-3, 3, (3, 3)) for _ in range(n)]
+    return np.stack(hs)
 
 
 def unit_square():
@@ -57,6 +92,32 @@ class TestApply:
             v1 = out[1] - out[0]
             v2 = out[2] - out[0]
             assert abs(v1[0] * v2[1] - v1[1] * v2[0]) < 1e-9 * max(1.0, np.abs(out).max() ** 2)
+
+
+class TestProjectEqualsExpression:
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_single_homographies(self):
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(-50.0, 400.0, (1000, 2))
+        for h in random_homographies(rng, 6):
+            self.assert_same(geo.project(h, pts), project_expression(h, pts))
+            u, v, w = project_expression(h, pts)
+            assert geo.apply(h, pts).tobytes() == np.stack([u / w, v / w], axis=-1).tobytes()
+
+    def test_stacked_homographies(self):
+        rng = np.random.default_rng(32)
+        hs = random_homographies(rng, 8)
+        shared = rng.uniform(-50.0, 400.0, (500, 2))  # one point set for every matrix, as RANSAC scores
+        self.assert_same(geo.project(hs, shared), project_expression(hs, shared))
+        per_matrix = rng.uniform(-50.0, 400.0, (len(hs), 4, 2))  # one set per matrix, as the DLT normalizes
+        self.assert_same(geo.project(hs, per_matrix), project_expression(hs, per_matrix))
+        u, v, w = project_expression(hs, per_matrix)
+        assert geo.apply(hs, per_matrix).tobytes() == np.stack([u / w, v / w], axis=-1).tobytes()
 
 
 class TestComposeInvert:
@@ -187,6 +248,18 @@ class TestWarpImage:
             sx, sy = geo.apply(hinv, [(float(u), float(v))])[0]
             expect = (0.0 <= sx <= 55.0) and (0.0 <= sy <= 39.0)
             assert mask[v, u] == expect
+
+
+    def test_equals_meshgrid_coordinates(self):
+        rng = np.random.default_rng(5)
+        img = rng.random((37, 53)).astype(np.float32)  # non-square, so swapped axes show
+        hs = list(random_homographies(rng, 4, img.shape)[:4])
+        hs.append(geo.to_pixel_frame(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [1.5, -0.4, 1.0]]), img.shape))
+        for h in hs:  # the last one sends part of the frame through the plane at infinity
+            out, mask = geo.warp_image(img, h)
+            ref_out, ref_mask = warp_image_meshgrid(img, h)
+            assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+            np.testing.assert_array_equal(mask, ref_mask)
 
 
 class TestHtxtFormat:

@@ -4,6 +4,24 @@ import pytest
 from pointpipe import imaging as im
 
 
+def bilinear_gather(img, xs, ys):
+    """bilinear_many through four 2-D fancy indexings of clamped neighbours."""
+    img = np.asarray(img)
+    hgt, wdt = img.shape
+    xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, wdt - 1)
+    ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, hgt - 1)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, wdt - 1)
+    y1 = np.minimum(y0 + 1, hgt - 1)
+    fx = xs - x0
+    fy = ys - y0
+    v00, v01, v10, v11 = img[y0, x0], img[y0, x1], img[y1, x0], img[y1, x1]
+    top = v00 + (v01 - v00) * fx
+    bot = v10 + (v11 - v10) * fx
+    return top + (bot - top) * fy
+
+
 class TestBilinear:
     def test_integer_pixel_exact(self):
         rng = np.random.default_rng(0)
@@ -23,6 +41,45 @@ class TestBilinear:
     def test_two_pixel_blend(self):
         img = np.array([[0.0, 1.0]], dtype=np.float32)
         assert im.bilinear_many(img, [0.25], [0.0])[0] == pytest.approx(0.25, abs=1e-12)
+
+
+    @staticmethod
+    def assert_equals_gather(img, xs, ys):
+        with np.errstate(invalid="ignore"):  # inf - inf in non-finite images
+            got = im.bilinear_many(img, xs, ys)
+            want = bilinear_gather(img, xs, ys)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_equals_gather_with_clamping_and_borders(self):
+        rng = np.random.default_rng(7)
+        img = rng.random((23, 31)).astype(np.float32)
+        xs = np.concatenate([rng.uniform(-5.0, 36.0, 2000), [0.0, 30.0, 30.0, 29.5, -1e9, 1e9, 30.0]])
+        ys = np.concatenate([rng.uniform(-5.0, 28.0, 2000), [0.0, 22.0, 0.0, 22.0, 1e9, -1e9, 21.25]])
+        self.assert_equals_gather(img, xs, ys)  # (30, 22) is the last column and row
+        self.assert_equals_gather(img.astype(np.float64), xs, ys)
+
+    def test_equals_gather_on_non_contiguous_images_and_2d_coordinates(self):
+        rng = np.random.default_rng(8)
+        base = rng.random((40, 60)).astype(np.float32)
+        xs = rng.uniform(-2.0, 32.0, (17, 19))
+        ys = rng.uniform(-2.0, 32.0, (17, 19))
+        xs[0, :] = 29.0  # last column of the (20, 30) view
+        ys[:, 0] = 19.0  # last row
+        for img in (base[::2, ::2], base[:30, :30].T, base[5:35, 10:40]):
+            self.assert_equals_gather(img, xs, ys)
+
+    def test_equals_gather_on_non_finite_pixels(self):
+        # at the last column fx is 0, so only a non-finite right neighbour shows
+        # which pixel was read there
+        img = np.arange(48, dtype=np.float32).reshape(6, 8)
+        img[:, 0] = np.inf
+        img[2, 3] = np.nan
+        ys = np.repeat(np.arange(6.0), 3)
+        xs = np.tile([7.0, 2.5, 3.0], 6)
+        self.assert_equals_gather(img, xs, ys)
 
 
 class TestBicubic:

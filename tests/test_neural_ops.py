@@ -129,6 +129,22 @@ class TestReLU:
         r = ReLU()
         np.testing.assert_array_equal(r.forward(np.array([-1.0, 2.0]), train=True), [0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_is_where_positive_bitwise(self, dtype):
+        special = np.array([np.nan, -0.0, 0.0, -np.inf, np.inf, -1.5, 2.5, 1e-45, -1e-45], dtype=dtype)
+        rng = np.random.default_rng(9)
+        mixed = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+        mixed.ravel()[::7] = -0.0
+        mixed.ravel()[::11] = np.nan
+        # fmax's result for -0.0 differs between numpy's SIMD and scalar loops, so
+        # single values and strided views are tried as well as whole arrays
+        singles = [special[i:i + 1] for i in range(len(special))]
+        for x in (special, *singles, mixed, mixed[:, :, :, ::3]):
+            want = np.where(x > 0, x, 0.0).astype(x.dtype, copy=False)
+            for train in (False, True):
+                got = ReLU().forward(x, train=train)
+                assert got.dtype == x.dtype and got.tobytes() == want.tobytes()
+
     def test_gradient_away_from_kink(self):
         rng = np.random.default_rng(3)
         relu = ReLU()
@@ -166,6 +182,23 @@ class TestBatchNorm:
         x = np.full((1, 1, 2, 2), 4.0)
         y = bn.forward(x, train=False)
         np.testing.assert_allclose(y, (4.0 - 2.0) / np.sqrt(4.0 + 1e-5), atol=1e-9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_forward_bitwise_and_input_untouched(self, dtype):
+        rng = np.random.default_rng(7)
+        store = ParamStore(dtype)
+        bn = BatchNorm2d(store, "bn", 3)
+        for p in (bn.gamma, bn.beta, bn.running_mean):
+            p.data[:] = rng.normal(size=3)
+        bn.running_var.data[:] = rng.uniform(0.5, 2.0, 3)
+        x = rng.normal(size=(2, 3, 5, 7)).astype(dtype)
+        before = x.copy()
+        shape = (1, 3, 1, 1)
+        xhat = (x - bn.running_mean.data.reshape(shape)) * (1.0 / np.sqrt(bn.running_var.data + bn.EPS)).reshape(shape)
+        want = bn.gamma.data.reshape(shape) * xhat + bn.beta.data.reshape(shape)
+        got = bn.forward(x, train=False)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x, before)
 
     def test_gradients_match_fd(self):
         rng = np.random.default_rng(6)
