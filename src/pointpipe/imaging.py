@@ -65,8 +65,7 @@ def bilinear_many(img: np.ndarray, xs, ys) -> np.ndarray:
     fy = ys - y0
     # gather from the flat image; the +1 column and row steps stay on the last column and row
     flat = img.ravel()
-    i00 = y0 * wdt
-    i00 += x0
+    i00 = y0 * wdt + x0
     step_x = x0 < wdt - 1
     i10 = i00 + (y0 < hgt - 1) * wdt
     v00 = flat.take(i00)
