@@ -44,6 +44,10 @@ class TruncatedFile(ValueError):
     """A file ends before a field its header or layout promises."""
 
 
+class NonFiniteCoordinate(ValueError):
+    """A sample coordinate is NaN or infinite, so no pixel index is its floor."""
+
+
 def as_image(arr) -> np.ndarray:
     """Clamp to [0,1] float32."""
     return np.clip(np.asarray(arr, dtype=np.float32), 0.0, 1.0)
@@ -53,12 +57,25 @@ def as_image(arr) -> np.ndarray:
 # interpolation
 
 
+def _require_finite(func: str, xs: np.ndarray, ys: np.ndarray):
+    """Raise NonFiniteCoordinate before floor's cast to intp, which NaN and +-inf leave undefined."""
+    # one summing pass per array: any NaN or inf makes the sum non-finite, and
+    # coordinates near an image are far from overflowing it
+    with np.errstate(invalid="ignore"):  # inf - inf
+        total = xs.sum() + ys.sum()
+    if not np.isfinite(total):
+        bad = xs.size - np.count_nonzero(np.isfinite(xs)) + ys.size - np.count_nonzero(np.isfinite(ys))
+        if bad:
+            raise NonFiniteCoordinate(f"{func}: {bad} of {xs.size + ys.size} sample coordinates are NaN or infinite")
+
+
 def bilinear_many(img: np.ndarray, xs, ys) -> np.ndarray:
-    """Vectorized 4-tap bilinear sampling; out-of-range coordinates clamp."""
+    """Vectorized 4-tap bilinear sampling; out-of-range coordinates clamp, NaN raises NonFiniteCoordinate."""
     img = np.asarray(img)
     hgt, wdt = img.shape
     xs = np.clip(np.asarray(xs, dtype=np.float64), 0.0, wdt - 1)
     ys = np.clip(np.asarray(ys, dtype=np.float64), 0.0, hgt - 1)
+    _require_finite("bilinear_many", xs, ys)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     fx = xs - x0
@@ -90,11 +107,15 @@ def _catmull_rom_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def bicubic_many(img: np.ndarray, xs, ys) -> np.ndarray:
-    """16-tap Catmull-Rom sampling of every (..., H, W) plane at the points, giving (..., N); replicated borders."""
+    """16-tap Catmull-Rom sampling of every (..., H, W) plane at the points, giving (..., N); replicated borders.
+
+    A NaN or infinite coordinate raises NonFiniteCoordinate.
+    """
     img = np.asarray(img)
     hgt, wdt = img.shape[-2:]
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
+    _require_finite("bicubic_many", xs, ys)
     x0 = np.floor(xs).astype(np.intp)
     y0 = np.floor(ys).astype(np.intp)
     fx = xs - x0

@@ -7,11 +7,17 @@ so one model can serve any number of threads.  With ``train`` true a layer
 keeps what its ``backward`` needs, and BatchNorm also updates its running
 statistics.  ``backward`` is valid only after a training forward; it
 accumulates parameter gradients into the store and returns the input
-gradient.  Convolution is im2col + GEMM.  Layers run in whatever float dtype
-the store was built with (float64 for gradient checking).
+gradient.  A 3x3 convolution, and its input gradient, is ``_correlate``:
+im2col and GEMM one tile of output rows at a time, so the patches of a tile
+are still in cache when the GEMM reads them; a training forward also keeps
+every tile's patches for the weight gradient.  A 1x1 convolution is one GEMM
+over the input itself.  Layers run in whatever float dtype the store was
+built with (float64 for gradient checking).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,20 +32,69 @@ class OddDimension(ValueError):
     pass
 
 
-def _im2col(x: np.ndarray, k: int, pad: int):
-    """(N, C, H, W) -> (N, C*k*k, Ho*Wo) patches for stride-1 conv."""
+# output pixels per tile of whole rows: a tile's k*k*C patch rows are still
+# in cache when the GEMM reads them
+TILE_PIXELS = 2048
+# BLAS computes a GEMM's pixels in vectors of up to 16 values and a partial
+# vector with other code; OpenBLAS hands a GEMM of at most 100**3 multiply-adds
+# to small-matrix kernels, which sum a long dot product in another order than
+# its blocked kernels do
+VECTOR_PIXELS = 16
+SMALL_GEMM = 100**3
+
+
+def _tile_bounds(h: int, w: int, nout: int, depth: int) -> list[int]:
+    """Output-row bounds of the tiles of an (nout, depth) weight matrix's GEMM.
+
+    Every pixel goes through the BLAS code that one whole-image GEMM gives it:
+    each tile holds whole vectors, and each tile's GEMM is above the
+    small-matrix size when the whole image's is (a short last tile joins the
+    one before it).  A pixel count that ends in a partial vector, whose code
+    varies with the GEMM's size, and a one-row matrix, which numpy hands to
+    gemv, take the whole image.  These rules were measured on scipy-openblas
+    0.3.31, not derived; ``TestTiledConvolution`` compares the bytes.
+    """
+    if nout == 1 or h * w % VECTOR_PIXELS or h * w == 0:
+        return [0, h]
+    step = VECTOR_PIXELS // math.gcd(w, VECTOR_PIXELS)
+    rows = max(step, TILE_PIXELS // w // step * step)
+    row_work = w * nout * depth
+    if rows * row_work <= SMALL_GEMM:
+        rows = (SMALL_GEMM // (row_work * step) + 1) * step
+    bounds = list(range(0, h, rows)) + [h]
+    if len(bounds) > 2 and (h - bounds[-2]) * row_work <= SMALL_GEMM:
+        del bounds[-2]
+    return bounds
+
+
+def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None = None) -> np.ndarray:
+    """'Same'-padded stride-1 correlation: (N, C, H, W) x (Cout, C*k*k) -> (N, Cout, H*W).
+
+    Each image goes in tiles of whole output rows: the k*k taps of a tile are
+    copied into a patch buffer and ``wmat @ patches`` is written into the
+    tile's columns of the output.  Only the GEMM's pixel dimension is split,
+    and ``_tile_bounds`` keeps every pixel in the BLAS code of one GEMM over
+    the whole image, so the outputs are that GEMM's bytes.  ``cols``
+    (N, C*k*k, H*W), if given, receives the patches of every tile; otherwise
+    one tile's buffer is reused.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = h + 2 * pad - k + 1
-    wo = w + 2 * pad - k + 1
-    # one nearly-sequential block copy per kernel tap beats gathering the
-    # fully strided (n, c, k, k, ho, wo) view in one pass
-    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
-    for ky in range(k):
-        for kx in range(k):
-            cols[:, :, ky, kx] = x[:, :, ky : ky + ho, kx : kx + wo]
-    return cols.reshape(n, c * k * k, ho * wo)
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    bounds = _tile_bounds(h, w, *wmat.shape)
+    y = np.empty((n, wmat.shape[0], h * w), dtype=np.result_type(wmat, x))
+    if cols is None:
+        buf = np.empty((c, k, k, max(np.diff(bounds)), w), dtype=x.dtype)
+    else:
+        patches = cols.reshape(n, c, k, k, h, w)
+    for i in range(n):
+        for r0, r1 in zip(bounds, bounds[1:]):
+            tile = buf[:, :, :, : r1 - r0] if cols is None else patches[i, :, :, :, r0:r1]
+            for ky in range(k):
+                for kx in range(k):
+                    tile[:, ky, kx] = xp[i, :, r0 + ky : r1 + ky, kx : kx + w]
+            np.matmul(wmat, tile.reshape(c * k * k, (r1 - r0) * w), out=y[i, :, r0 * w : r1 * w])
+    return y
 
 
 class Conv2d:
@@ -55,16 +110,21 @@ class Conv2d:
         # a bias ahead of BatchNorm is cancelled by the mean subtraction and
         # its gradient degenerates to roundoff noise, so BN-fed convs skip it
         self.b = store.create(f"{name}.b", np.zeros(cout)) if bias else None
-        self.pad = ksize // 2
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         n, c, h, w = x.shape
         cout, cin, k, _ = self.w.data.shape
         if c != cin:
             raise ShapeMismatch(f"expected {cin} input channels, got {c}")
-        # a 1x1 kernel's patches are the input itself
-        cols = x.reshape(n, c, h * w) if k == 1 else _im2col(x, k, self.pad)
-        y = np.matmul(self.w.data.reshape(cout, cin * k * k)[None], cols).reshape(n, cout, h, w)
+        wmat = self.w.data.reshape(cout, cin * k * k)
+        if k == 1:
+            # a 1x1 kernel's patches are the input itself
+            cols = x.reshape(n, c, h * w)
+            y = np.matmul(wmat[None], cols)
+        else:
+            cols = np.empty((n, c * k * k, h * w), dtype=x.dtype) if train else None
+            y = _correlate(x, wmat, k, cols)
+        y = y.reshape(n, cout, h, w)
         if train:
             self._cache = (x.shape, cols)
         if self.b is not None:
@@ -84,11 +144,10 @@ class Conv2d:
         self.w.grad += dw.reshape(self.w.data.shape)
         if k == 1:
             return np.matmul(self.w.data.reshape(cout, cin).T[None], dym).reshape(x_shape)
-        # dx is the full correlation of dy with the transposed, 180-rotated kernel
+        # dx is the 'same' correlation of dy with the transposed, 180-rotated kernel
         wt = self.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-        dcols = _im2col(dy, k, k - 1 - self.pad)
         wtm = np.ascontiguousarray(wt).reshape(cin, cout * k * k)
-        return np.matmul(wtm[None], dcols).reshape(x_shape)
+        return _correlate(dy, wtm, k).reshape(x_shape)
 
 
 class ReLU:

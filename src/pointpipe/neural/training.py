@@ -55,19 +55,25 @@ def _rng(*key):
 
 
 class LossLog:
-    """Collects (iter, loss_total, loss_det, loss_desc) rows; optional CSV."""
+    """Collects (iter, loss_total, loss_det, loss_desc, grad_norm) rows; optional CSV."""
 
     def __init__(self):
         self.rows = []
 
-    def add(self, iteration, total, det, desc):
-        self.rows.append((iteration, float(total), float(det), float(desc)))
+    def add(self, iteration, total, det, desc, grad_norm):
+        self.rows.append((iteration, float(total), float(det), float(desc), float(grad_norm)))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["iter", "loss_total", "loss_det", "loss_desc"])
+            w.writerow(["iter", "loss_total", "loss_det", "loss_desc", "grad_norm"])
             w.writerows(self.rows)
+
+
+def _grad_norm(store) -> float:
+    """Global L2 norm of the trainable parameters' gradients, summed in float64."""
+    return math.sqrt(sum(float(np.square(p.grad, dtype=np.float64).sum())
+                         for p in store.params.values() if p.trainable))
 
 
 def _diverged(what, it, checkpoint) -> TrainingDiverged:
@@ -113,9 +119,9 @@ def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkp
             if not np.isfinite(p.grad).all():
                 raise _diverged(f"gradient of {name!r} is not finite", it, finite_checkpoint)
         finite_checkpoint = written
-        adam_step(model.store, cfg.lr, t=it + 1)
         if log is not None and (it % cfg.log_every == 0 or it == cfg.iterations - 1):
-            log.add(it, total, det_total, desc_loss)
+            log.add(it, total, det_total, desc_loss, _grad_norm(model.store))
+        adam_step(model.store, cfg.lr, t=it + 1)
         if progress is not None:
             progress(it, det_loss)
         if checkpoint_dir and cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:

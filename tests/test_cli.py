@@ -319,7 +319,7 @@ class TestPipelineComposition:
         assert (tiny_chain / "labels" / "round_1" / "meta.txt").exists()
         assert (tiny_chain / "report.csv").exists()
         lines = (tiny_chain / "mp_loss.csv").read_text().splitlines()
-        assert lines[0] == "iter,loss_total,loss_det,loss_desc"
+        assert lines[0] == "iter,loss_total,loss_det,loss_desc,grad_norm"
 
     def test_matching_report_summary_columns(self, tiny_chain):
         lines = (tiny_chain / "report.csv").read_text().splitlines()

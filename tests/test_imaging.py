@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,30 @@ class TestBilinear:
         ys = np.repeat(np.arange(6.0), 3)
         xs = np.tile([7.0, 2.5, 3.0], 6)
         self.assert_equals_gather(img, xs, ys)
+
+
+class TestNonFiniteCoordinates:
+    """NaN (and, for bicubic, +-inf) coordinates raise before floor's cast to intp, without a warning."""
+
+    @pytest.mark.parametrize("sample,xs,ys,bad", [
+        (im.bilinear_many, [1.0], [np.nan], 1),
+        (im.bilinear_many, [np.nan, 2.0, np.nan], [1.0, np.nan, np.nan], 4),
+        (im.bicubic_many, [np.nan], [1.0], 1),
+        (im.bicubic_many, [np.inf, 1.0], [1.0, -np.inf], 2),
+        (im.bicubic_many, [np.inf, -np.inf], [1.0, 1.0], 2),
+    ])
+    def test_raises_with_function_and_count(self, sample, xs, ys, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(im.NonFiniteCoordinate, match=rf"^{sample.__name__}: {bad} of {2 * len(xs)} "):
+                sample(np.zeros((3, 4)), xs, ys)
+
+    def test_bilinear_still_clamps_infinity(self):
+        img = np.arange(12.0).reshape(3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = im.bilinear_many(img, [np.inf, -np.inf, 1.0], [1.0, np.inf, -np.inf])
+        np.testing.assert_array_equal(got, [img[1, 3], img[2, 0], img[0, 1]])
 
 
 class TestBicubic:

@@ -1,9 +1,13 @@
 """Layer forward semantics and analytic-vs-numeric gradient agreement."""
 
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, OddDimension, ReLU, ShapeMismatch
+from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, OddDimension, ReLU, ShapeMismatch, _tile_bounds
 from pointpipe.neural.store import ParamStore
 
 
@@ -93,6 +97,94 @@ class TestConv:
             assert rel_err(conv.w.grad.ravel()[c], g) < 1e-6
         for c, g in numeric_grad(f, conv.b.data, sample_coords(rng, conv.b.data.size, 3)).items():
             assert rel_err(conv.b.grad.ravel()[c], g) < 1e-6
+
+
+def whole_image_im2col(x):
+    """The (N, C*9, H*W) patch matrix of a 'same'-padded 3x3 correlation, built for the whole image at once."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, :, ky, kx] = xp[:, :, ky : ky + h, kx : kx + w]
+    return cols.reshape(n, c * 9, h * w)
+
+
+def assert_same_bytes(got, want, what):
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    if got.tobytes() != want.tobytes():
+        config = io.StringIO()
+        with contextlib.redirect_stdout(config):
+            np.show_config()
+        pytest.fail(f"{what}: {np.count_nonzero(got != want)} values differ from the whole-image GEMM; "
+                    f"the tiles' bitwise equality rests on this BLAS build:\n{config.getvalue()}")
+
+
+class TestTiledConvolution:
+    """The tiled 3x3 convolution gives the bytes of one whole-image im2col GEMM."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,cin,cout,h,w", [
+        (1, 9, 9, 240, 320),  # enc1 at the benchmark size: 40 tiles of 6 rows
+        (1, 1, 9, 240, 320),  # enc0: tiles grown past the small-GEMM size
+        (8, 9, 16, 40, 100),  # batch 8: 20-row tiles
+        (1, 9, 16, 15, 320),  # a short last tile: 6, 6 and 3 rows
+        (1, 4, 16, 3, 2064),  # a row wider than a tile: one row per tile
+        (1, 16, 16, 8, 1500),  # 1500-pixel rows: tiles of 4 rows hold whole 16-pixel vectors
+        (1, 64, 16, 85, 48),  # K = 576: a one-row last tile, under the small-GEMM size, joins the one before
+        (1, 2, 16, 61, 83),  # a partial vector at the end: the whole image
+        (1, 16, 256, 21, 100),  # a partial vector after a short last tile: the whole image
+        (1, 1, 32, 152, 66),  # one input channel: dx is a one-row GEMM, the whole image
+        (1, 52, 2, 4, 1040),  # two outputs, K = 468: rows grown past the small-GEMM size
+    ])
+    def test_equals_whole_image_gemm(self, n, cin, cout, h, w, dtype):
+        rng = np.random.default_rng(h * w + cin)
+        conv = Conv2d(ParamStore(dtype), "c", cin, cout, 3, rng)
+        conv.b.data[:] = rng.normal(size=cout)
+        x = rng.normal(size=(n, cin, h, w)).astype(dtype)
+        dy = rng.normal(size=(n, cout, h, w)).astype(dtype)
+        wmat = conv.w.data.reshape(cout, cin * 9)
+        cols = whole_image_im2col(x)
+        want = np.matmul(wmat[None], cols).reshape(n, cout, h, w) + conv.b.data.reshape(1, cout, 1, 1)
+
+        assert_same_bytes(conv.forward(x, train=False), want, "eval forward")
+        assert_same_bytes(conv.forward(x, train=True), want, "train forward")
+        assert_same_bytes(conv._cache[1], cols, "kept patches")
+        conv.w.grad = np.zeros_like(conv.w.data)
+        conv.b.grad = np.zeros_like(conv.b.data)
+        dx = conv.backward(dy)
+        wt = np.ascontiguousarray(conv.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]).reshape(cin, cout * 9)
+        assert_same_bytes(dx, np.matmul(wt[None], whole_image_im2col(dy)).reshape(x.shape), "dx")
+        dw = np.zeros((cout, cin * 9), dtype=dtype)
+        for i in range(n):
+            dw += dy[i].reshape(cout, h * w) @ cols[i].T
+        assert_same_bytes(conv.w.grad, dw.reshape(conv.w.data.shape), "dw")
+
+    def test_tile_bounds(self):
+        assert _tile_bounds(240, 320, 9, 81) == list(range(0, 241, 6))
+        assert _tile_bounds(240, 320, 9, 9) == [0, 39, 78, 117, 156, 195, 240]
+        assert _tile_bounds(40, 100, 16, 81) == [0, 20, 40]
+        assert _tile_bounds(15, 320, 16, 81) == [0, 6, 12, 15]
+        assert _tile_bounds(3, 2064, 16, 36) == [0, 1, 2, 3]
+        assert _tile_bounds(8, 1500, 16, 144) == [0, 4, 8]
+        assert _tile_bounds(85, 48, 16, 576) == [0, 42, 85]
+        assert _tile_bounds(64, 83, 16, 81) == [0, 16, 32, 48, 64]
+        assert _tile_bounds(4, 1040, 2, 468) == [0, 2, 4]
+        assert _tile_bounds(61, 83, 16, 81) == [0, 61]
+        assert _tile_bounds(152, 66, 1, 288) == [0, 152]
+        assert _tile_bounds(0, 320, 9, 81) == [0, 0]
+
+    def test_eval_forward_allocates_under_half_the_patch_matrix(self):
+        conv = Conv2d(ParamStore(np.float32), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
+        x = np.random.default_rng(1).random((1, 9, 240, 320), dtype=np.float32)
+        patch_matrix = 9 * 9 * 240 * 320 * 4
+        tracemalloc.start()
+        try:
+            conv.forward(x, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < patch_matrix / 2, (peak, patch_matrix)
 
 
 class TestMaxPool:

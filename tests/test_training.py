@@ -150,7 +150,20 @@ class TestTrainMagicpoint:
         csv_path = tmp_path / "loss.csv"
         log.write_csv(csv_path)
         header = csv_path.read_text().splitlines()[0]
-        assert header == "iter,loss_total,loss_det,loss_desc"
+        assert header == "iter,loss_total,loss_det,loss_desc,grad_norm"
+
+    def test_grad_norm_column_is_finite_and_reproducible(self, tmp_path):
+        cfg = TrainConfig(iterations=3, batch_size=2, seed=8, log_every=1)
+        for run in ("a", "b"):
+            log = LossLog()
+            model = train_magicpoint(MICRO, tiny_stream(4), cfg, log=log)
+            log.write_csv(tmp_path / f"{run}.csv")
+        norms = [row[4] for row in log.rows]
+        assert len(norms) == 3 and all(np.isfinite(norms)) and min(norms) > 0.0
+        # Adam leaves the gradients in place, so the last row's norm is that of the final gradients
+        grads = [p.grad for p in model.store.params.values() if p.trainable]
+        assert norms[-1] == pytest.approx(np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads)), rel=1e-12)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_loss_decreases_on_tiny_problem(self):
         log = LossLog()
