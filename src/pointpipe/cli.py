@@ -38,6 +38,7 @@ from .neural import (
     train_magicpoint,
     train_superpoint,
 )
+from .neural.network import CELL
 from .neural.training import LossLog, train_detector_on_labels
 
 CLASSICAL_NAMES = ("harris", "shi", "fast")
@@ -87,7 +88,7 @@ def heatmap_detector(spec: str):
 
 def make_system(weights, threshold, nms_radius, top_k, random_desc_seed=None):
     model = load_model(weights)
-    if not model.with_descriptor:
+    if model.desc_head is None:
         raise ConfigError(f"{weights}: weight file has no descriptor head")
     rng = np.random.default_rng(random_desc_seed) if random_desc_seed is not None else None
 
@@ -172,7 +173,7 @@ def cmd_synth(cfg, args):
 
 SYNTH_SCHEMA = [
     Option("synth.out", "path", help="output directory"),
-    Option("synth.count", "int", 100),
+    Option("synth.count", "count", 100),
     Option("synth.height", "int", 96),
     Option("synth.width", "int", 96),
     Option("synth.mix", "str", "uniform", "category mix, e.g. star:0.5,cube:0.5"),
@@ -232,8 +233,14 @@ def cmd_adapt_label(cfg, args):
     )
     rounds = cfg["adapt.rounds"]
     seed = cfg["adapt.seed"]
+    retrains = rounds > 1 or cfg["adapt.retrain_final"]
     # retraining settings are checked before the first round writes anything
     train_cfg = TrainConfig(iterations=cfg["adapt.train_iterations"], batch_size=cfg["adapt.train_batch"])
+    crop = cfg["adapt.crop"]
+    side = min(min(img.shape) for img in images)
+    if retrains and not (CELL <= crop <= side and crop % CELL == 0):
+        raise ValueError(f"adapt.crop must be a multiple of {CELL} from {CELL} to the smallest image side "
+                         f"{side}, got {crop}")
 
     def retrain(dataset, round_index):
         arch = ARCH_PRESETS[cfg["adapt.arch"]]
@@ -242,7 +249,6 @@ def cmd_adapt_label(cfg, args):
             # read again each round: the model shares these arrays and training updates them in place
             state = load_weights(cfg["adapt.weights"])
             arch, _ = infer_arch(state)
-        crop = cfg["adapt.crop"]
         model = train_detector_on_labels(
             arch, dataset, dataclasses.replace(train_cfg, seed=seed + round_index),
             size=(crop, crop), base_state=state,
@@ -254,7 +260,7 @@ def cmd_adapt_label(cfg, args):
     # no makedirs here: self_label creates the output directory with round_1/, after checking its settings
     ad.self_label(
         images, detector, adapt_cfg, rounds,
-        retrain=retrain if rounds > 1 or cfg["adapt.retrain_final"] else None,
+        retrain=retrain if retrains else None,
         out_dir=cfg["adapt.out"], seed=seed, top_k=cfg["adapt.top_k"],
     )
     print(f"labeled {len(images)} images over {rounds} round(s) -> {cfg['adapt.out']}")
@@ -415,7 +421,7 @@ def cmd_eval_detector(cfg, args):
 EVAL_DET_SCHEMA = [
     Option("eval_det.detectors", "str", help="comma list: name[:weights], e.g. magic:w.spw,harris"),
     Option("eval_det.images", "path", "composites", "image dir or 'composites'"),
-    Option("eval_det.count", "int", 50),
+    Option("eval_det.count", "count", 50),
     Option("eval_det.height", "int", 240),
     Option("eval_det.width", "int", 320),
     Option("eval_det.preset", "str", "training", "homography preset for pairs"),
@@ -453,7 +459,7 @@ def cmd_eval_matching(cfg, args):
 EVAL_MATCH_SCHEMA = [
     Option("eval_match.weights", "path", help="joint .spw weight file"),
     Option("eval_match.images", "path", "composites"),
-    Option("eval_match.count", "int", 50),
+    Option("eval_match.count", "count", 50),
     Option("eval_match.height", "int", 96),
     Option("eval_match.width", "int", 96),
     Option("eval_match.preset", "str", "training"),
@@ -475,9 +481,12 @@ def _noise_experiment(cfg, column, conditions, corrupt):
     i, image)`` returns sample i's image under that condition.  Returns the
     number of rows written.
     """
-    stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"],
-                                 noise=False, seed=cfg["exp_noise.seed"])
-    samples = [sd.sample_at(stream_cfg, i) for i in range(cfg["exp_noise.count"])]
+    stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"], noise=False)
+    seed = cfg["exp_noise.seed"]
+    # sample_at draws sample i of a stream from the key (seed, i); the spawn key 0x5E makes these keys
+    # five words long, so no stream whose seed and index fit in 32 bits draws an evaluation shape
+    keys = [np.random.SeedSequence((seed, i), spawn_key=(0x5E,)) for i in range(cfg["exp_noise.count"])]
+    samples = [sd.sample_from(stream_cfg, np.random.default_rng(key)) for key in keys]
     detectors = parse_detectors(cfg["exp_noise.detectors"], cfg["exp_noise.threshold"])
     rows = []
     for label, condition in conditions:
@@ -508,7 +517,7 @@ def cmd_exp_noise_sweep(cfg, args):
 
 EXP_NOISE_SCHEMA = [
     Option("exp_noise.detectors", "str", help="comma list: name[:weights]"),
-    Option("exp_noise.count", "int", 100),
+    Option("exp_noise.count", "count", 100),
     Option("exp_noise.height", "int", 96),
     Option("exp_noise.width", "int", 96),
     Option("exp_noise.eps", "float", 3.0),
@@ -591,7 +600,7 @@ def cmd_exp_nh_sweep(cfg, args):
 EXP_NH_SCHEMA = [
     Option("exp_nh.weights", "path", help=".spw file or harris/shi"),
     Option("exp_nh.images", "path", "composites"),
-    Option("exp_nh.count", "int", 20),
+    Option("exp_nh.count", "count", 20),
     Option("exp_nh.height", "int", 240),
     Option("exp_nh.width", "int", 320),
     Option("exp_nh.nh_list", "str", "1,10,100"),

@@ -23,7 +23,7 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class Option:
     key: str  # full "section.key" name
-    type: str  # int | float | str | bool | path
+    type: str  # int | count (an int >= 1) | float | str | bool | path
     default: object = REQUIRED
     help: str = ""
 
@@ -55,8 +55,11 @@ def parse_config_file(path):
 
 def _convert(opt: Option, raw: str, base_dir: str | None):
     try:
-        if opt.type == "int":
-            return int(raw)
+        if opt.type in ("int", "count"):
+            value = int(raw)
+            if opt.type == "count" and value < 1:
+                raise ConfigError(f"config key {opt.key}: must be >= 1, got {value}")
+            return value
         if opt.type == "float":
             return float(raw)
         if opt.type == "bool":

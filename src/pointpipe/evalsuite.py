@@ -70,12 +70,13 @@ def _nearest_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _det_order(dets: np.ndarray) -> np.ndarray:
-    return np.lexsort((dets[:, 0], dets[:, 1], -dets[:, 2]))
-
-
-def _pr_area(recall: np.ndarray, precision: np.ndarray) -> float:
-    """Trapezoid area under the PR points, anchored at (0, P_first)."""
+def _ranked_ap(tp: np.ndarray, keys: np.ndarray, possible: int) -> float:
+    """Trapezoid area under the PR curve of ranked hits, anchored at (0, P_first):
+    one PR point after each run of equal ranking keys, recall hits / possible capped at 1."""
+    ks = np.append(np.flatnonzero(np.diff(keys)), len(keys) - 1)
+    cum_tp = np.cumsum(tp)[ks]
+    precision = cum_tp / (ks + 1.0)
+    recall = np.minimum(cum_tp / float(possible), 1.0)
     r = np.concatenate([[0.0], recall])
     p = np.concatenate([[precision[0]], precision])
     return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
@@ -93,7 +94,7 @@ def average_precision(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
     if len(gt) == 0 or len(dets) == 0:
         return 0.0
-    order = _det_order(dets)
+    order = np.lexsort((dets[:, 0], dets[:, 1], -dets[:, 2]))  # descending confidence, then y, then x
     taken = np.zeros(len(gt), dtype=bool)
     tp = np.zeros(len(dets), dtype=bool)
     for rank, i in enumerate(order):
@@ -103,14 +104,14 @@ def average_precision(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
         if d[j] <= eps:
             taken[j] = True
             tp[rank] = True
-    confs = dets[order, 2]
-    # PR point after each group of equal confidence
-    boundaries = np.nonzero(np.diff(confs))[0].tolist() + [len(confs) - 1]
-    cum_tp = np.cumsum(tp)
-    ks = np.asarray(boundaries)
-    precision = cum_tp[ks] / (ks + 1.0)
-    recall = cum_tp[ks] / float(len(gt))
-    return _pr_area(recall, precision)
+    # a greedy one-to-one assignment never recalls more than len(gt), so the cap never acts
+    return _ranked_ap(tp, dets[order, 2], len(gt))
+
+
+def _mean_within(d: np.ndarray, eps: float) -> float | None:
+    """Mean of the distances <= eps, or None if there are none."""
+    d = d[d <= eps]
+    return float(d.mean()) if len(d) else None
 
 
 def localization_error(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
@@ -119,11 +120,15 @@ def localization_error(dets: np.ndarray, gt: np.ndarray, eps: float) -> float:
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
     if len(gt) == 0 or len(dets) == 0:
         raise NoCorrectDetections("nothing to localize")
-    d = _nearest_distance(dets, gt)
-    d = d[d <= eps]
-    if len(d) == 0:
+    mean = _mean_within(_nearest_distance(dets, gt), eps)
+    if mean is None:
         raise NoCorrectDetections(f"no detection within {eps} px of ground truth")
-    return float(d.mean())
+    return mean
+
+
+def _covisible(pts: np.ndarray, h: np.ndarray, shape) -> np.ndarray:
+    """Mask of the (N, >=2) points that h carries inside an image of this shape."""
+    return geo.in_bounds(geo.apply(h, pts[:, :2]), shape) if len(pts) else np.zeros(0, bool)
 
 
 def repeatability(pts1: np.ndarray, pts2: np.ndarray, h: np.ndarray, shape, eps: float) -> float:
@@ -137,10 +142,8 @@ def repeatability(pts1: np.ndarray, pts2: np.ndarray, h: np.ndarray, shape, eps:
     pts1 = np.asarray(pts1, dtype=np.float64).reshape(-1, pts1.shape[-1] if len(pts1) else 3)
     pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, pts2.shape[-1] if len(pts2) else 3)
     hinv = geo.invert(h)
-    if len(pts1):
-        pts1 = pts1[geo.in_bounds(geo.apply(h, pts1[:, :2]), shape)]
-    if len(pts2):
-        pts2 = pts2[geo.in_bounds(geo.apply(hinv, pts2[:, :2]), shape)]
+    pts1 = pts1[_covisible(pts1, h, shape)]
+    pts2 = pts2[_covisible(pts2, hinv, shape)]
     n1, n2 = len(pts1), len(pts2)
     if n1 + n2 == 0:
         return 0.0
@@ -214,25 +217,22 @@ def match_nn(desc_a: np.ndarray, desc_b: np.ndarray,
     return MatchSet(np.arange(na), idx_b, dist, pa, pb)
 
 
-def _nn_ap_one_direction(pts_a, desc_a, pts_b, desc_b, h, eps) -> float:
+def _correct_matches(pts_a, desc_a, pts_b, desc_b, h, eps):
+    """match_nn of a in b, the a-points carried by h, and the mask of matches
+    whose b-point lies within eps of its carried a-point."""
     m = match_nn(desc_a, desc_b, pts_a, pts_b)
-    warped = geo.apply(h, np.asarray(pts_a, dtype=np.float64)[:, :2])
-    matched_b = np.asarray(pts_b, dtype=np.float64)[m.idx_b, :2]
-    tp = np.linalg.norm(warped - matched_b, axis=1) <= eps
+    warped = geo.apply(h, m.points_a[:, :2])
+    return m, warped, np.linalg.norm(warped - m.points_b[m.idx_b, :2], axis=1) <= eps
+
+
+def _nn_ap_one_direction(pts_a, desc_a, pts_b, desc_b, h, eps) -> float:
+    m, warped, tp = _correct_matches(pts_a, desc_a, pts_b, desc_b, h, eps)
     # recall base: a-points that have any geometric counterpart at all
-    d_any = _nearest_distance(warped, np.asarray(pts_b, dtype=np.float64))
-    possible = int((d_any <= eps).sum())
+    possible = int((_nearest_distance(warped, m.points_b) <= eps).sum())
     if possible == 0:
         raise NoMatches("no geometric correspondence exists within eps")
     order = np.lexsort((m.idx_a, m.distance))  # ascending distance = descending confidence
-    tp = tp[order]
-    dist = m.distance[order]
-    boundaries = np.nonzero(np.diff(dist))[0].tolist() + [len(dist) - 1]
-    ks = np.asarray(boundaries)
-    cum_tp = np.cumsum(tp)
-    precision = cum_tp[ks] / (ks + 1.0)
-    recall = np.minimum(cum_tp[ks] / float(possible), 1.0)
-    return _pr_area(recall, precision)
+    return _ranked_ap(tp[order], m.distance[order], possible)
 
 
 def nn_map(pts_a, desc_a, pts_b, desc_b, h, eps) -> float:
@@ -247,18 +247,14 @@ def _mscore_one_direction(pts_a, desc_a, pts_b, desc_b, h, shape, eps) -> float:
     pts_a = np.asarray(pts_a, dtype=np.float64)
     pts_b = np.asarray(pts_b, dtype=np.float64)
     hinv = geo.invert(h)
-    cov_a = geo.in_bounds(geo.apply(h, pts_a[:, :2]), shape) if len(pts_a) else np.zeros(0, bool)
-    cov_b = geo.in_bounds(geo.apply(hinv, pts_b[:, :2]), shape) if len(pts_b) else np.zeros(0, bool)
+    cov_a = _covisible(pts_a, h, shape)
+    cov_b = _covisible(pts_b, hinv, shape)
     n1, n2 = int(cov_a.sum()), int(cov_b.sum())
     if min(n1, n2) == 0:
         raise NoFeaturesInRegion("no features in the shared viewpoint region")
-    pa = pts_a[cov_a]
     da = np.asarray(desc_a, dtype=np.float64)[cov_a]
-    pb = pts_b[cov_b]
     db = np.asarray(desc_b, dtype=np.float64)[cov_b]
-    m = match_nn(da, db, pa, pb)
-    warped = geo.apply(h, pa[:, :2])
-    good = np.linalg.norm(warped - pb[m.idx_b, :2], axis=1) <= eps
+    _, _, good = _correct_matches(pts_a[cov_a], da, pts_b[cov_b], db, h, eps)
     return float(good.sum()) / float(min(n1, n2))
 
 
@@ -541,9 +537,7 @@ def pair_mle(pts1, pts2, h, eps) -> float | None:
     if len(pts1) == 0 or len(pts2) == 0:
         return None
     warped = geo.apply(h, np.asarray(pts1, dtype=np.float64)[:, :2])
-    d = _nearest_distance(warped, np.asarray(pts2, dtype=np.float64))
-    d = d[d <= eps]
-    return float(d.mean()) if len(d) else None
+    return _mean_within(_nearest_distance(warped, np.asarray(pts2, dtype=np.float64)), eps)
 
 
 def run_detector_benchmark(detectors: dict, pairs, protocol: DetectorProtocol = DetectorProtocol(),

@@ -48,82 +48,67 @@ ARCH_PRESETS = {
 }
 
 
+def _block(store: ParamStore, name: str, cin: int, cout: int, rng) -> list:
+    """3x3 conv -> BatchNorm -> ReLU; the conv has no bias, as BatchNorm cancels it."""
+    return [Conv2d(store, name, cin, cout, 3, rng, bias=False), BatchNorm2d(store, f"{name}.bn", cout), ReLU()]
+
+
+def _forward(layers: list, x: np.ndarray, train: bool) -> np.ndarray:
+    for layer in layers:
+        x = layer.forward(x, train)
+    return x
+
+
+def _backward(layers: list, dy: np.ndarray) -> np.ndarray:
+    for layer in reversed(layers):
+        dy = layer.backward(dy)
+    return dy
+
+
 class PointNet:
-    """Shared encoder with a detector head and an optional descriptor head."""
+    """Shared encoder with a detector head and an optional descriptor head.
+
+    ``encoder``, ``det_head`` and ``desc_head`` are layer lists (``desc_head``
+    is None without a descriptor).  Layers are created in ``.spw`` order, which
+    is also the order of the seeded initial weight draws.
+    """
 
     def __init__(self, arch: ArchConfig, with_descriptor: bool, seed: int = 0, dtype=np.float32):
-        self.arch = arch
-        self.with_descriptor = with_descriptor
         self.store = ParamStore(dtype)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0)))
         self.encoder = []
         cin = 1
         for i, width in enumerate(arch.encoder_widths):
-            conv = Conv2d(self.store, f"enc{i}", cin, width, 3, rng, bias=False)
-            bn = BatchNorm2d(self.store, f"enc{i}.bn", width)
-            self.encoder.append((conv, bn, ReLU()))
+            self.encoder += _block(self.store, f"enc{i}", cin, width, rng)
+            if i in (1, 3, 5):
+                self.encoder.append(MaxPool2x2())
             cin = width
-        self.pools = {1: MaxPool2x2(), 3: MaxPool2x2(), 5: MaxPool2x2()}
-        feat = arch.encoder_widths[-1]
-        self.det_head = Conv2d(self.store, "det.head", feat, arch.head_width, 3, rng, bias=False)
-        self.det_head_bn = BatchNorm2d(self.store, "det.head.bn", arch.head_width)
-        self.det_head_relu = ReLU()
-        self.det_out = Conv2d(self.store, "det.out", arch.head_width, DETECTOR_OUT, 1, rng)
+        self.det_head = _block(self.store, "det.head", cin, arch.head_width, rng)
+        self.det_head.append(Conv2d(self.store, "det.out", arch.head_width, DETECTOR_OUT, 1, rng))
+        self.desc_head = None
         if with_descriptor:
-            self.desc_head = Conv2d(self.store, "desc.head", feat, arch.head_width, 3, rng, bias=False)
-            self.desc_head_bn = BatchNorm2d(self.store, "desc.head.bn", arch.head_width)
-            self.desc_head_relu = ReLU()
-            self.desc_out = Conv2d(self.store, "desc.out", arch.head_width, arch.descriptor_dim, 1, rng)
+            self.desc_head = _block(self.store, "desc.head", cin, arch.head_width, rng)
+            self.desc_head.append(Conv2d(self.store, "desc.out", arch.head_width, arch.descriptor_dim, 1, rng))
 
     # -- forward / backward -------------------------------------------------
 
-    def _check_input(self, x):
+    def forward(self, x: np.ndarray, train: bool = False):
+        """Return (logits N x 65 x Hc x Wc, raw descriptors or None)."""
         if x.ndim != 4 or x.shape[1] != 1:
             raise ValueError(f"expected (N, 1, H, W) input, got {x.shape}")
         if x.shape[2] % CELL or x.shape[3] % CELL:
             raise DimensionNotDivisible(f"H and W must be divisible by {CELL}, got {x.shape[2:]}")
-
-    def encode(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._check_input(x)
-        x = np.ascontiguousarray(x, dtype=self.store.dtype)
-        for i, (conv, bn, relu) in enumerate(self.encoder):
-            x = relu.forward(bn.forward(conv.forward(x, train), train), train)
-            if i in self.pools:
-                x = self.pools[i].forward(x, train)
-        return x
-
-    def encode_backward(self, dfeat: np.ndarray) -> np.ndarray:
-        for i in reversed(range(len(self.encoder))):
-            if i in self.pools:
-                dfeat = self.pools[i].backward(dfeat)
-            conv, bn, relu = self.encoder[i]
-            dfeat = conv.backward(bn.backward(relu.backward(dfeat)))
-        return dfeat
-
-    def forward(self, x: np.ndarray, train: bool = False):
-        """Return (logits N x 65 x Hc x Wc, raw descriptors or None)."""
-        feat = self.encode(x, train)
-        h = self.det_head_relu.forward(self.det_head_bn.forward(self.det_head.forward(feat, train), train), train)
-        logits = self.det_out.forward(h, train)
-        desc = None
-        if self.with_descriptor:
-            g = self.desc_head_relu.forward(
-                self.desc_head_bn.forward(self.desc_head.forward(feat, train), train), train
-            )
-            desc = self.desc_out.forward(g, train)
-        return logits, desc
+        feat = _forward(self.encoder, np.ascontiguousarray(x, dtype=self.store.dtype), train)
+        logits = _forward(self.det_head, feat, train)
+        return logits, None if self.desc_head is None else _forward(self.desc_head, feat, train)
 
     def backward(self, dlogits: np.ndarray, ddesc: np.ndarray | None = None) -> np.ndarray:
-        dh = self.det_out.backward(dlogits)
-        dfeat = self.det_head.backward(self.det_head_bn.backward(self.det_head_relu.backward(dh)))
+        dfeat = _backward(self.det_head, dlogits)
         if ddesc is not None:
-            if not self.with_descriptor:
+            if self.desc_head is None:
                 raise ValueError("model has no descriptor head")
-            dg = self.desc_out.backward(ddesc)
-            dfeat = dfeat + self.desc_head.backward(
-                self.desc_head_bn.backward(self.desc_head_relu.backward(dg))
-            )
-        return self.encode_backward(dfeat)
+            dfeat = dfeat + _backward(self.desc_head, ddesc)
+        return _backward(self.encoder, dfeat)
 
     # -- inference helpers ---------------------------------------------------
 

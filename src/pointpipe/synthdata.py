@@ -217,16 +217,25 @@ def _random_convex_polygon(rng, center, radius, n_vertices):
     return None
 
 
-def _point_in_convex(pts, p, margin=0.0):
+# a point within this many pixels outside a later polygon counts as covered by it
+OCCLUSION_MARGIN = -1.5
+
+
+def _point_in_convex(pts, p):
     sign = 1.0 if _signed_area(pts) > 0 else -1.0
     for i in range(len(pts)):
         a = pts[i]
         b = pts[(i + 1) % len(pts)]
         e = b - a
         nrm = np.linalg.norm(e)
-        if sign * (e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])) < margin * nrm:
+        if sign * (e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])) < OCCLUSION_MARGIN * nrm:
             return False
     return True
+
+
+def _unoccluded(points, occluders) -> list:
+    """The points that no occluding polygon covers or nearly touches."""
+    return [p for p in points if not any(_point_in_convex(poly, p) for poly in occluders)]
 
 
 def _background(rng, height, width):
@@ -284,7 +293,7 @@ def _draw_line_segments(canvas, rng, bg_base):
         q = p + length * np.array([math.cos(ang), math.sin(ang)])
         if not (4 <= q[0] <= width - 5 and 4 <= q[1] <= height - 5):
             continue
-        if any(_segments_cross(p, q, a, b, pad=3.0) for a, b in segs):
+        if any(_segments_cross(p, q, a, b) for a, b in segs):
             continue
         segs.append((p, q))
     if len(segs) < 3:
@@ -296,20 +305,23 @@ def _draw_line_segments(canvas, rng, bg_base):
     return make_points(pts), {"segments": len(segs)}
 
 
-def _segments_cross(p1, q1, p2, q2, pad=0.0):
+# segments whose endpoints come closer than this many pixels count as crossing
+SEGMENT_GAP = 3.0
+
+
+def _segments_cross(p1, q1, p2, q2):
     # conservative: padded bounding-box prefilter, then orientation test
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    if min(p1[0], q1[0]) - pad > max(p2[0], q2[0]) or min(p2[0], q2[0]) - pad > max(p1[0], q1[0]):
+    if min(p1[0], q1[0]) - SEGMENT_GAP > max(p2[0], q2[0]) or min(p2[0], q2[0]) - SEGMENT_GAP > max(p1[0], q1[0]):
         return False
-    if min(p1[1], q1[1]) - pad > max(p2[1], q2[1]) or min(p2[1], q2[1]) - pad > max(p1[1], q1[1]):
+    if min(p1[1], q1[1]) - SEGMENT_GAP > max(p2[1], q2[1]) or min(p2[1], q2[1]) - SEGMENT_GAP > max(p1[1], q1[1]):
         return False
-    if pad > 0.0:
-        # nearby parallel strokes also create unlabeled junction-like stimuli
-        for a, b in ((p1, p2), (p1, q2), (q1, p2), (q1, q2)):
-            if np.linalg.norm(np.asarray(a) - np.asarray(b)) < pad:
-                return True
+    # nearby parallel strokes also create unlabeled junction-like stimuli
+    for a, b in ((p1, p2), (p1, q2), (q1, p2), (q1, q2)):
+        if np.linalg.norm(np.asarray(a) - np.asarray(b)) < SEGMENT_GAP:
+            return True
     d1 = orient(p2, q2, p1)
     d2 = orient(p2, q2, q1)
     d3 = orient(p1, q1, p2)
@@ -426,17 +438,12 @@ def _draw_polygon_soup(canvas, rng, bg_base):
         polys.append(pts)
     if len(polys) < 2:
         return None
-    gt = []
-    for i, pts in enumerate(polys):
+    for pts in polys:
         color = _contrast_color(rng, colors, min_gap=0.15)
         colors.append(color)
         canvas.fill_convex(pts, color)
-    for i, pts in enumerate(polys):
-        for p in pts:
-            # a vertex survives if no later polygon covers or nearly touches it
-            occluded = any(_point_in_convex(later, p, margin=-1.5) for later in polys[i + 1 :])
-            if not occluded:
-                gt.append(p)
+    # a vertex survives if no later polygon covers or nearly touches it
+    gt = [p for i, pts in enumerate(polys) for p in _unoccluded(pts, polys[i + 1 :])]
     if not gt:
         return None
     return make_points(gt), {"polygons": len(polys)}
@@ -541,7 +548,11 @@ class StreamConfig:
 
 def sample_at(cfg: StreamConfig, index: int) -> ShapeSample:
     """Deterministic sample for a stream position; no two indices share a draw."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
+    return sample_from(cfg, np.random.default_rng(np.random.SeedSequence((cfg.seed, index))))
+
+
+def sample_from(cfg: StreamConfig, rng: np.random.Generator) -> ShapeSample:
+    """A sample of the stream's categories, size and noise, drawn from rng."""
     cats, probs = cfg.category_table()
     cat = cats[int(rng.choice(len(cats), p=probs))]
     sample = render_sample(cat, (cfg.height, cfg.width), rng)
@@ -643,11 +654,7 @@ def render_composite(size: tuple[int, int], rng: np.random.Generator) -> ShapeSa
 
     gt = []
     for i, (pts, _) in enumerate(entries):
-        occluders = [poly for _, poly in entries[i + 1 :] if poly is not None]
-        for p in pts:
-            if any(_point_in_convex(poly, p, margin=-1.5) for poly in occluders):
-                continue
-            gt.append(p)
+        gt += _unoccluded(pts, [poly for _, poly in entries[i + 1 :] if poly is not None])
     kept = []
     for p in gt:
         if all(np.linalg.norm(p - q) >= MIN_POINT_SPACING for q in kept):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from pointpipe import evalsuite as ev
 from pointpipe import imaging as im
 from pointpipe import synthdata as sd
 from pointpipe.cli import main
@@ -140,6 +141,21 @@ class TestExitCodes:
         assert "TrainConfig.batch_size must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("crop", ["92", "128", "0"])
+    def test_bad_retraining_crop_exits_3_before_labeling(self, tmp_path, capsys, crop):
+        images = tmp_path / "images"
+        images.mkdir()
+        im.write_pgm(images / "a.pgm", sd.render_composite((96, 96), np.random.default_rng(0)).image)
+        out = tmp_path / "labels"
+        argv = ["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out), "--nh", "2",
+                "--crop", crop]
+        assert run(argv + ["--rounds", "2"]) == 3
+        err = capsys.readouterr().err
+        assert f"adapt.crop must be a multiple of 8 from 8 to the smallest image side 96, got {crop}" in err, err
+        assert not out.exists()
+        # without a retrain the crop is unused
+        assert run(argv + ["--rounds", "1"]) == 0
+
     def test_zero_rounds_exit_3_without_output(self, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
@@ -204,6 +220,24 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command, value", [
+        (["synth", "--out", "{tmp}/s"], "-3"),
+        (["eval-detector", "--detectors", "harris", "--out", "{tmp}/r.csv"], "-2"),
+        (["eval-detector", "--detectors", "harris", "--images", "{tmp}", "--out", "{tmp}/r.csv"], "-1"),
+        (["eval-matching", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/r.csv"], "0"),
+        (["exp-noise-sweep", "--detectors", "harris", "--out", "{tmp}/r.csv"], "-1"),
+        (["exp-noise-types", "--detectors", "harris", "--out", "{tmp}/r.csv"], "0"),
+        (["exp-nh-sweep", "--weights", "harris", "--out", "{tmp}/r.csv"], "-1"),
+    ])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, command, value):
+        section = {"synth": "synth", "eval-detector": "eval_det", "eval-matching": "eval_match",
+                   "exp-noise-sweep": "exp_noise", "exp-noise-types": "exp_noise", "exp-nh-sweep": "exp_nh"}
+        im.write_pgm(tmp_path / "a.pgm", np.zeros((16, 16), dtype=np.float32))
+        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--count", value]
+        assert run(argv) == 2
+        assert f"config key {section[command[0]]}.count: must be >= 1, got {value}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["a.pgm"]
+
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -213,6 +247,19 @@ class TestExitCodes:
     def test_bad_category_exits_2(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "d"), "--count", "1",
                     "--mix", "dodecahedron:1"]) == 2
+
+
+class TestNoiseExperimentData:
+    def test_eval_shapes_are_not_training_shapes(self, tmp_path, monkeypatch):
+        scored = []
+        monkeypatch.setattr(im, "add_noise", lambda image, spec: image)
+        monkeypatch.setattr(ev, "detector_gt_metrics", lambda det, samples, eps: (scored.append(samples) or 0.0, 0.0, 0))
+        assert run(["exp-noise-types", "--detectors", "harris", "--count", "100",
+                    "--out", str(tmp_path / "kinds.csv")]) == 0
+        # shapes without points (blank or noise-only categories) are equal in any two streams
+        training = {sd.sample_at(sd.StreamConfig(seed=0), i).points.tobytes() for i in range(100)} - {b""}
+        assert len(scored[0]) == 100 and len(training) > 70
+        assert not training & {s.points.tobytes() for s in scored[0]}
 
 
 class TestSynthCommand:

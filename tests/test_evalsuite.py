@@ -930,3 +930,223 @@ class TestDetectorGtMetrics:
         mapv, _, defined = ev.detector_gt_metrics(lambda im: lookup[im.tobytes()], pos + neg)
         assert defined == 2
         assert mapv == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the scoring code as it stood before each rule (PR area, co-visibility,
+# correct match, mean within eps) was written once; the shared rules must
+# return the same bytes
+
+
+def parent_pr_area(recall, precision):
+    r = np.concatenate([[0.0], recall])
+    p = np.concatenate([[precision[0]], precision])
+    return float(np.sum((r[1:] - r[:-1]) * (p[1:] + p[:-1]) * 0.5))
+
+
+def parent_average_precision(dets, gt, eps):
+    dets = np.asarray(dets, dtype=np.float64).reshape(-1, 3)
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
+    if len(gt) == 0 or len(dets) == 0:
+        return 0.0
+    order = np.lexsort((dets[:, 0], dets[:, 1], -dets[:, 2]))
+    taken = np.zeros(len(gt), dtype=bool)
+    tp = np.zeros(len(dets), dtype=bool)
+    for rank, i in enumerate(order):
+        d = np.hypot(gt[:, 0] - dets[i, 0], gt[:, 1] - dets[i, 1])
+        d[taken] = np.inf
+        j = int(np.argmin(d))
+        if d[j] <= eps:
+            taken[j] = True
+            tp[rank] = True
+    confs = dets[order, 2]
+    boundaries = np.nonzero(np.diff(confs))[0].tolist() + [len(confs) - 1]
+    cum_tp = np.cumsum(tp)
+    ks = np.asarray(boundaries)
+    precision = cum_tp[ks] / (ks + 1.0)
+    recall = cum_tp[ks] / float(len(gt))
+    return parent_pr_area(recall, precision)
+
+
+def parent_localization_error(dets, gt, eps):
+    dets = np.asarray(dets, dtype=np.float64).reshape(-1, 3)
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, gt.shape[-1] if len(gt) else 2)
+    if len(gt) == 0 or len(dets) == 0:
+        raise ev.NoCorrectDetections("nothing to localize")
+    d = ev._nearest_distance(dets, gt)
+    d = d[d <= eps]
+    if len(d) == 0:
+        raise ev.NoCorrectDetections("none within eps")
+    return float(d.mean())
+
+
+def parent_repeatability(pts1, pts2, h, shape, eps):
+    pts1 = np.asarray(pts1, dtype=np.float64).reshape(-1, pts1.shape[-1] if len(pts1) else 3)
+    pts2 = np.asarray(pts2, dtype=np.float64).reshape(-1, pts2.shape[-1] if len(pts2) else 3)
+    hinv = geo.invert(h)
+    if len(pts1):
+        pts1 = pts1[geo.in_bounds(geo.apply(h, pts1[:, :2]), shape)]
+    if len(pts2):
+        pts2 = pts2[geo.in_bounds(geo.apply(hinv, pts2[:, :2]), shape)]
+    n1, n2 = len(pts1), len(pts2)
+    if n1 + n2 == 0:
+        return 0.0
+    hits = 0
+    if n1 and n2:
+        hits += int((ev._nearest_distance(geo.apply(h, pts1[:, :2]), pts2) <= eps).sum())
+        hits += int((ev._nearest_distance(geo.apply(hinv, pts2[:, :2]), pts1) <= eps).sum())
+    return hits / float(n1 + n2)
+
+
+def parent_nn_ap_one_direction(pts_a, desc_a, pts_b, desc_b, h, eps):
+    m = ev.match_nn(desc_a, desc_b, pts_a, pts_b)
+    warped = geo.apply(h, np.asarray(pts_a, dtype=np.float64)[:, :2])
+    matched_b = np.asarray(pts_b, dtype=np.float64)[m.idx_b, :2]
+    tp = np.linalg.norm(warped - matched_b, axis=1) <= eps
+    d_any = ev._nearest_distance(warped, np.asarray(pts_b, dtype=np.float64))
+    possible = int((d_any <= eps).sum())
+    if possible == 0:
+        raise ev.NoMatches("no geometric correspondence exists within eps")
+    order = np.lexsort((m.idx_a, m.distance))
+    tp = tp[order]
+    dist = m.distance[order]
+    boundaries = np.nonzero(np.diff(dist))[0].tolist() + [len(dist) - 1]
+    ks = np.asarray(boundaries)
+    cum_tp = np.cumsum(tp)
+    precision = cum_tp[ks] / (ks + 1.0)
+    recall = np.minimum(cum_tp[ks] / float(possible), 1.0)
+    return parent_pr_area(recall, precision)
+
+
+def parent_nn_map(pts_a, desc_a, pts_b, desc_b, h, eps):
+    ab = parent_nn_ap_one_direction(pts_a, desc_a, pts_b, desc_b, h, eps)
+    ba = parent_nn_ap_one_direction(pts_b, desc_b, pts_a, desc_a, geo.invert(h), eps)
+    return 0.5 * (ab + ba)
+
+
+def parent_mscore_one_direction(pts_a, desc_a, pts_b, desc_b, h, shape, eps):
+    pts_a = np.asarray(pts_a, dtype=np.float64)
+    pts_b = np.asarray(pts_b, dtype=np.float64)
+    hinv = geo.invert(h)
+    cov_a = geo.in_bounds(geo.apply(h, pts_a[:, :2]), shape) if len(pts_a) else np.zeros(0, bool)
+    cov_b = geo.in_bounds(geo.apply(hinv, pts_b[:, :2]), shape) if len(pts_b) else np.zeros(0, bool)
+    n1, n2 = int(cov_a.sum()), int(cov_b.sum())
+    if min(n1, n2) == 0:
+        raise ev.NoFeaturesInRegion("no features in the shared viewpoint region")
+    pa = pts_a[cov_a]
+    da = np.asarray(desc_a, dtype=np.float64)[cov_a]
+    pb = pts_b[cov_b]
+    db = np.asarray(desc_b, dtype=np.float64)[cov_b]
+    m = ev.match_nn(da, db, pa, pb)
+    warped = geo.apply(h, pa[:, :2])
+    good = np.linalg.norm(warped - pb[m.idx_b, :2], axis=1) <= eps
+    return float(good.sum()) / float(min(n1, n2))
+
+
+def parent_matching_score(pts_a, desc_a, pts_b, desc_b, h, shape, eps):
+    ab = parent_mscore_one_direction(pts_a, desc_a, pts_b, desc_b, h, shape, eps)
+    ba = parent_mscore_one_direction(pts_b, desc_b, pts_a, desc_a, geo.invert(h), shape, eps)
+    return 0.5 * (ab + ba)
+
+
+def parent_pair_mle(pts1, pts2, h, eps):
+    if len(pts1) == 0 or len(pts2) == 0:
+        return None
+    warped = geo.apply(h, np.asarray(pts1, dtype=np.float64)[:, :2])
+    d = ev._nearest_distance(warped, np.asarray(pts2, dtype=np.float64))
+    d = d[d <= eps]
+    return float(d.mean()) if len(d) else None
+
+
+def result_of(fn, *args):
+    """The value fn returns, as bytes when it is a float, or the type of what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the parent and the shared rule must raise the same error
+        return type(exc)
+    return np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+SHAPE = (24, 32)
+
+
+def lattice_points(rng, n, confs=(0.25, 0.5, 0.5, 0.9)):
+    """n points on the pixel lattice of SHAPE and one pixel beyond it, with
+    repeated confidences, so that borders, distances and ranks tie exactly."""
+    hgt, wdt = SHAPE
+    return np.stack([rng.integers(-1, wdt + 1, n), rng.integers(-1, hgt + 1, n), rng.choice(confs, n)],
+                    axis=1).astype(np.float64)
+
+
+def translation(tx, ty):
+    return np.array([[1.0, 0.0, tx], [0.0, 1.0, ty], [0.0, 0.0, 1.0]])
+
+
+def pair_cases():
+    """(pts_a, desc_a, pts_b, desc_b, h): integer shifts land points exactly
+    on the border, far shifts empty the co-visible sets, repeated small
+    integer descriptors tie match distances, sampled warps cover the rest."""
+    rng = np.random.default_rng(21)
+    ranges = geo.ranges_preset("training")
+    for k in range(120):
+        n1, n2 = int(rng.integers(0, 16)), int(rng.integers(0, 16))
+        pts_a, pts_b = lattice_points(rng, n1), lattice_points(rng, n2)
+        da = rng.integers(0, 3, (n1, 3)).astype(np.float64)
+        db = rng.integers(0, 3, (n2, 3)).astype(np.float64)
+        if k % 3 == 0:
+            h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), SHAPE)
+        elif k % 3 == 1:
+            h = translation(*rng.integers(-4, 5, 2))
+        else:
+            h = translation(*rng.choice([-40.0, 40.0], 2))
+        yield pts_a, da, pts_b, db, h
+
+
+class TestSharedRulesEqualParentCode:
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 3.0])
+    def test_pair_metrics(self, eps):
+        seen = set()
+        for pts_a, da, pts_b, db, h in pair_cases():
+            for new, old, args in [
+                (ev.repeatability, parent_repeatability, (pts_a, pts_b, h, SHAPE, eps)),
+                (ev.pair_mle, parent_pair_mle, (pts_a, pts_b, h, eps)),
+                (ev.nn_map, parent_nn_map, (pts_a, da, pts_b, db, h, eps)),
+                (ev.matching_score, parent_matching_score, (pts_a, da, pts_b, db, h, SHAPE, eps)),
+            ]:
+                got = result_of(new, *args)
+                assert got == result_of(old, *args), (new.__name__, args)
+                seen.add((new.__name__, got if isinstance(got, type) or got is None else "value"))
+        if eps:
+            # every branch was reached: values, empty co-visible sets, no counterpart within eps
+            assert {("nn_map", "value"), ("nn_map", ev.NoMatches), ("nn_map", ev.EmptySet),
+                    ("matching_score", "value"), ("matching_score", ev.NoFeaturesInRegion),
+                    ("pair_mle", "value"), ("pair_mle", None), ("repeatability", "value")} <= seen
+
+    def test_points_exactly_on_the_border(self):
+        hgt, wdt = SHAPE
+        pts = np.array([[0.0, 0.0, 0.5], [wdt - 1.0, hgt - 1.0, 0.5], [wdt - 1.0, 0.0, 0.9], [wdt, 5.0, 0.9],
+                        [-1.0, 3.0, 0.2], [4.0, hgt - 1.0, 0.2]])
+        desc = np.eye(6)[[0, 1, 2, 2, 3, 3]]
+        for h in (geo.identity(), translation(1.0, 0.0), translation(0.0, -1.0)):
+            for eps in (0.0, 1.0):
+                for new, old, args in [
+                    (ev.repeatability, parent_repeatability, (pts, pts, h, SHAPE, eps)),
+                    (ev.nn_map, parent_nn_map, (pts, desc, pts, desc, h, eps)),
+                    (ev.matching_score, parent_matching_score, (pts, desc, pts, desc, h, SHAPE, eps)),
+                ]:
+                    assert result_of(new, *args) == result_of(old, *args), (new.__name__, h, eps)
+
+    def test_detector_metrics_with_tied_and_nan_confidences(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        for k in range(150):
+            dets = lattice_points(rng, int(rng.integers(0, 20)))
+            gt = lattice_points(rng, int(rng.integers(0, 12)))[:, :2]
+            if k % 5 == 0 and len(dets):
+                dets[rng.integers(len(dets)), 2] = np.nan
+            for eps in (0.0, 1.0, 2.0, 3.0):
+                assert result_of(ev.average_precision, dets, gt, eps) == result_of(parent_average_precision, dets, gt, eps)
+                got = result_of(ev.localization_error, dets, gt, eps)
+                assert got == result_of(parent_localization_error, dets, gt, eps)
+                checked += isinstance(got, bytes)
+        assert checked > 100

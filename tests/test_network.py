@@ -173,8 +173,7 @@ class TestTranslationCovariance:
 
 def layers(model):
     """Every layer object of a model, encoder first."""
-    found = [layer for block in model.encoder for layer in block] + list(model.pools.values())
-    return found + [v for v in vars(model).values() if isinstance(v, (Conv2d, BatchNorm2d, ReLU, MaxPool2x2))]
+    return model.encoder + model.det_head + (model.desc_head or [])
 
 
 class TestInferenceIsStateless:
@@ -209,6 +208,35 @@ class TestInferenceIsStateless:
         interleaved = gradients(lambda: (model.heatmap(x[0, 0]), model.describe(x[0, 0])))
         for want, got in zip(plain, interleaved):
             np.testing.assert_array_equal(got, want)
+
+
+class TestParameterLayout:
+    def test_micro_joint_model_tensor_order_and_shapes(self):
+        """The store's order is the .spw tensor order and the order of the
+        seeded weight draws, so a reordered layer changes both."""
+        model = PointNet(MICRO, with_descriptor=True, seed=0)
+        blocks = [("enc0", 1, 9), ("enc1", 9, 9), ("enc2", 9, 16), ("enc3", 16, 16), ("enc4", 16, 32),
+                  ("enc5", 32, 32), ("enc6", 32, 32), ("enc7", 32, 32), ("det.head", 32, 32)]
+        want = []
+        for name, cin, cout in blocks + [("desc.head", 32, 32)]:
+            want.append((f"{name}.w", (cout, cin, 3, 3)))
+            want += [(f"{name}.bn.{k}", (cout,)) for k in ("gamma", "beta", "running_mean", "running_var")]
+            if name.endswith(".head"):
+                head, width = name.split(".")[0], 65 if name == "det.head" else 32
+                want += [(f"{head}.out.w", (width, 32, 1, 1)), (f"{head}.out.b", (width,))]
+        assert [(n, p.data.shape) for n, p in model.store.params.items()] == want
+        assert len(want) == 54
+        detector = PointNet(MICRO, with_descriptor=False, seed=0)
+        assert [(n, p.data.shape) for n, p in detector.store.params.items()] == want[:47]
+
+    def test_layer_lists(self):
+        block = [Conv2d, BatchNorm2d, ReLU]
+        model = PointNet(MICRO, with_descriptor=True, seed=0)
+        pooled = block * 2 + [MaxPool2x2]
+        assert [type(layer) for layer in model.encoder] == pooled * 3 + block * 2
+        assert [type(layer) for layer in model.det_head] == block + [Conv2d]
+        assert [type(layer) for layer in model.desc_head] == block + [Conv2d]
+        assert PointNet(MICRO, with_descriptor=False, seed=0).desc_head is None
 
 
 class TestInferArch:
