@@ -9,7 +9,12 @@ the uniform mean in the interior.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +51,78 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
     return m
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS in numpy's wheel, or None where it is not found."""
+    wheel_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(wheel_libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_") and hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """While any caller is inside, numpy's OpenBLAS runs each call on one thread.
+
+    OpenBLAS spreads a GEMM over every core by default.  With two warps in
+    flight, both threads' GEMMs then compete for the same cores: on two
+    cores a micro ``exp-nh-sweep`` (10 images at 240x320, nh 1, 10, 100)
+    took 140 s, against 114 s for one sequential loop and 75 s with one BLAS
+    thread.  The thread count is process-wide, so callers are counted: the
+    first one in saves it and the last one out restores it.  Where the
+    library is not found this does nothing.  OpenBLAS splits a GEMM's rows
+    and columns over its threads, not its sums, and the outputs were the
+    same bytes either way on scipy-openblas 0.3.31.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls = False  # looked up on first use: (get, set) or None
+        self._users = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is False:
+                self._calls = _openblas_threads()
+            if self._calls is not None and self._users == 0:
+                get, set_ = self._calls
+                self._saved = get()
+                set_(1)
+            self._users += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._users -= 1
+            if self._calls is not None and self._users == 0:
+                self._calls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _warped_response(detector, img: np.ndarray, ranges, seed: int, i: int):
+    """Warp i's response carried back to the image frame, and the pixels it covers."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
+    h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
+    hinv = geo.invert(h)
+    warped, fwd_mask = geo.warp_image(img, h)
+    response = np.asarray(detector(warped), dtype=np.float32)
+    valid = _erode(fwd_mask, MASK_EROSION)
+    response = np.where(valid, response, 0.0)
+    back, back_mask = geo.warp_image(response, hinv)
+    cover_f, cover_m = geo.warp_image(valid.astype(np.float32), hinv)
+    return back, back_mask & cover_m & (cover_f >= 1.0 - 1e-6)
+
+
+def _add_warp(accum: np.ndarray, count: np.ndarray, back: np.ndarray, covered: np.ndarray) -> None:
+    accum += np.where(covered, back, 0.0)
+    count += covered
+
+
 def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndarray:
     """Average detector responses over n_homographies warps (identity first).
 
@@ -58,27 +135,33 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
     the count of warps that actually covered it; never-covered pixels stay
     0.  With n_homographies=1 the output is the base detector's map,
     bitwise.
+
+    Warps run two at a time: the odd ones on a helper thread, in a copy of
+    the caller's context (so ``np.errstate`` carries over), and the even
+    ones, the identity first, on the caller's thread.  The sums still take
+    every warp in order, so the result does not depend on the threads.  The
+    detector is therefore called from two threads at once and must not keep
+    per-call state; an eval-mode ``PointNet.heatmap``, ``harris`` and
+    ``shi_tomasi`` all qualify.  Meanwhile numpy's OpenBLAS runs one thread
+    per call (see ``_OneBlasThread``).
     """
     img = np.asarray(img, dtype=np.float32)
-    base = np.asarray(detector(img), dtype=np.float32)
-    if cfg.n_homographies == 1:
-        return base
+    n = cfg.n_homographies
+    if n == 1:
+        return np.asarray(detector(img), dtype=np.float32)
     ranges = geo.ranges_preset("adaptation")
-    accum = base.astype(np.float64)
-    count = np.ones(img.shape, dtype=np.float64)
-    for i in range(1, cfg.n_homographies):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
-        h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
-        hinv = geo.invert(h)
-        warped, fwd_mask = geo.warp_image(img, h)
-        response = np.asarray(detector(warped), dtype=np.float32)
-        valid = _erode(fwd_mask, MASK_EROSION)
-        response = np.where(valid, response, 0.0)
-        back, back_mask = geo.warp_image(response, hinv)
-        cover_f, cover_m = geo.warp_image(valid.astype(np.float32), hinv)
-        covered = back_mask & cover_m & (cover_f >= 1.0 - 1e-6)
-        accum += np.where(covered, back, 0.0)
-        count += covered
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(0, n, 2):
+            if i + 1 < n:
+                odd = helper.submit(contextvars.copy_context().run,
+                                    _warped_response, detector, img, ranges, seed, i + 1)
+            if i == 0:
+                accum = np.asarray(detector(img), dtype=np.float32).astype(np.float64)
+                count = np.ones(img.shape, dtype=np.float64)
+            else:
+                _add_warp(accum, count, *_warped_response(detector, img, ranges, seed, i))
+            if i + 1 < n:
+                _add_warp(accum, count, *odd.result())
     out = accum / count
     return out.astype(np.float32)
 

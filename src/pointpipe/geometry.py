@@ -183,30 +183,42 @@ def to_pixel_frame(h_unit: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return normalize(s @ np.asarray(h_unit, dtype=np.float64) @ invert(s))
 
 
+# output pixels per band of whole rows in warp_image, so that the band's
+# coordinate and interpolation temporaries stay small
+WARP_BAND_PIXELS = 32768
+
+
 def warp_image(img: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Warp an image by a pixel-frame homography.
 
     Output pixel (u, v) is the bilinear sample of ``img`` at
     ``invert(h) @ (u, v, 1)``.  The boolean mask marks pixels whose source
-    location lies inside [0, W-1] x [0, H-1]; everything else is 0.
+    location lies inside [0, W-1] x [0, H-1]; everything else is 0.  The
+    output is computed in bands of whole rows; every pixel's value comes
+    from its own coordinates alone, so the bands give the bytes of one pass
+    over the whole image.
     """
+    from .imaging import bilinear_many  # local import to avoid cycle at module load
+
     img = np.asarray(img)
     hgt, wdt = img.shape
     hinv = invert(h)
-    # a (1, W) row of u and an (H, 1) column of v broadcast to every pixel's (u, v)
+    out = np.empty((hgt, wdt), dtype=img.dtype)
+    mask = np.empty((hgt, wdt), dtype=bool)
+    rows = max(1, WARP_BAND_PIXELS // max(wdt, 1))
+    # a (1, W) row of u and an (R, 1) column of v broadcast to every pixel's (u, v) in a band
     u = np.arange(wdt, dtype=np.float64)[None, :]
-    v = np.arange(hgt, dtype=np.float64)[:, None]
-    w = hinv[2, 0] * u + hinv[2, 1] * v + hinv[2, 2]
-    finite = np.abs(w) >= DET_EPS
-    wsafe = np.where(finite, w, 1.0)
-    sx = (hinv[0, 0] * u + hinv[0, 1] * v + hinv[0, 2]) / wsafe
-    sy = (hinv[1, 0] * u + hinv[1, 1] * v + hinv[1, 2]) / wsafe
-    mask = finite & (sx >= 0.0) & (sx <= wdt - 1) & (sy >= 0.0) & (sy <= hgt - 1)
-
-    from .imaging import bilinear_many  # local import to avoid cycle at module load
-
-    out = bilinear_many(img, sx.ravel(), sy.ravel()).reshape(hgt, wdt)
-    out = np.where(mask, out, 0.0).astype(img.dtype, copy=False)
+    for v0 in range(0, hgt, rows):
+        v = np.arange(v0, min(v0 + rows, hgt), dtype=np.float64)[:, None]
+        w = hinv[2, 0] * u + hinv[2, 1] * v + hinv[2, 2]
+        finite = np.abs(w) >= DET_EPS
+        wsafe = np.where(finite, w, 1.0)
+        sx = (hinv[0, 0] * u + hinv[0, 1] * v + hinv[0, 2]) / wsafe
+        sy = (hinv[1, 0] * u + hinv[1, 1] * v + hinv[1, 2]) / wsafe
+        inside = finite & (sx >= 0.0) & (sx <= wdt - 1) & (sy >= 0.0) & (sy <= hgt - 1)
+        band = bilinear_many(img, sx.ravel(), sy.ravel()).reshape(inside.shape)
+        out[v0 : v0 + len(v)] = np.where(inside, band, 0.0)
+        mask[v0 : v0 + len(v)] = inside
     return out, mask
 
 

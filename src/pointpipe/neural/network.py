@@ -92,15 +92,21 @@ class PointNet:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray, train: bool = False):
-        """Return (logits N x 65 x Hc x Wc, raw descriptors or None)."""
+    def forward(self, x: np.ndarray, train: bool = False, descriptor: bool = True):
+        """Return (logits N x 65 x Hc x Wc, raw descriptors or None).
+
+        With ``descriptor`` false the descriptor head does not run and the
+        second value is None.
+        """
         if x.ndim != 4 or x.shape[1] != 1:
             raise ValueError(f"expected (N, 1, H, W) input, got {x.shape}")
         if x.shape[2] % CELL or x.shape[3] % CELL:
             raise DimensionNotDivisible(f"H and W must be divisible by {CELL}, got {x.shape[2:]}")
         feat = _forward(self.encoder, np.ascontiguousarray(x, dtype=self.store.dtype), train)
         logits = _forward(self.det_head, feat, train)
-        return logits, None if self.desc_head is None else _forward(self.desc_head, feat, train)
+        if self.desc_head is None or not descriptor:
+            return logits, None
+        return logits, _forward(self.desc_head, feat, train)
 
     def backward(self, dlogits: np.ndarray, ddesc: np.ndarray | None = None) -> np.ndarray:
         dfeat = _backward(self.det_head, dlogits)
@@ -119,7 +125,7 @@ class PointNet:
     def heatmap(self, img: np.ndarray) -> np.ndarray:
         """Point-ness probability map for one image (eval mode)."""
         hgt, wdt = img.shape
-        logits, _ = self.forward(_pad_to_cells(img)[None, None, :, :], train=False)
+        logits, _ = self.forward(_pad_to_cells(img)[None, None, :, :], train=False, descriptor=False)
         return detector_decode(logits)[0, :hgt, :wdt].astype(np.float32)
 
     def describe(self, img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

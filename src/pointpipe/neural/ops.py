@@ -70,29 +70,37 @@ def _tile_bounds(h: int, w: int, nout: int, depth: int) -> list[int]:
 def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None = None) -> np.ndarray:
     """'Same'-padded stride-1 correlation: (N, C, H, W) x (Cout, C*k*k) -> (N, Cout, H*W).
 
-    Each image goes in tiles of whole output rows: the k*k taps of a tile are
-    copied into a patch buffer and ``wmat @ patches`` is written into the
-    tile's columns of the output.  Only the GEMM's pixel dimension is split,
-    and ``_tile_bounds`` keeps every pixel in the BLAS code of one GEMM over
-    the whole image, so the outputs are that GEMM's bytes.  ``cols``
-    (N, C*k*k, H*W), if given, receives the patches of every tile; otherwise
-    one tile's buffer is reused.
+    Each image goes in tiles of whole output rows: the tile's input rows and
+    their halo are copied into a zero-padded band, the k*k taps of the band
+    into a patch buffer, and ``wmat @ patches`` is written into the tile's
+    columns of the output.  No padded copy of the whole input is made.  Only
+    the GEMM's pixel dimension is split, and ``_tile_bounds`` keeps every
+    pixel in the BLAS code of one GEMM over the whole image, so the outputs
+    are that GEMM's bytes.  ``cols`` (N, C*k*k, H*W), if given, receives the
+    patches of every tile; otherwise one tile's buffer is reused.
     """
     n, c, h, w = x.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     bounds = _tile_bounds(h, w, *wmat.shape)
+    rows = max(np.diff(bounds))
     y = np.empty((n, wmat.shape[0], h * w), dtype=np.result_type(wmat, x))
+    # band row j holds input row r0 - pad + j; its pad columns are never written
+    band = np.zeros((c, rows + 2 * pad, w + 2 * pad), dtype=x.dtype)
     if cols is None:
-        buf = np.empty((c, k, k, max(np.diff(bounds)), w), dtype=x.dtype)
+        buf = np.empty((c, k, k, rows, w), dtype=x.dtype)
     else:
         patches = cols.reshape(n, c, k, k, h, w)
     for i in range(n):
         for r0, r1 in zip(bounds, bounds[1:]):
+            lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+            top, bottom = lo - (r0 - pad), hi - (r0 - pad)
+            band[:, :top] = 0
+            band[:, top:bottom, pad : pad + w] = x[i, :, lo:hi]
+            band[:, bottom : r1 - r0 + 2 * pad] = 0
             tile = buf[:, :, :, : r1 - r0] if cols is None else patches[i, :, :, :, r0:r1]
             for ky in range(k):
                 for kx in range(k):
-                    tile[:, ky, kx] = xp[i, :, r0 + ky : r1 + ky, kx : kx + w]
+                    tile[:, ky, kx] = band[:, ky : ky + r1 - r0, kx : kx + w]
             np.matmul(wmat, tile.reshape(c * k * k, (r1 - r0) * w), out=y[i, :, r0 * w : r1 * w])
     return y
 

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,10 +10,37 @@ from pointpipe import classical as cl
 from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
 from pointpipe import synthdata as sd
+from pointpipe.neural import ARCH_PRESETS, PointNet
 
 
 def harris_detector(img):
     return cl.harris(img)
+
+
+def adapt_sequential(detector, img, cfg, seed=0):
+    """ad.adapt as one loop over the warps on the caller's thread; the two-thread version must match it bitwise."""
+    img = np.asarray(img, dtype=np.float32)
+    base = np.asarray(detector(img), dtype=np.float32)
+    if cfg.n_homographies == 1:
+        return base
+    ranges = geo.ranges_preset("adaptation")
+    accum = base.astype(np.float64)
+    count = np.ones(img.shape, dtype=np.float64)
+    for i in range(1, cfg.n_homographies):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
+        h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
+        hinv = geo.invert(h)
+        warped, fwd_mask = geo.warp_image(img, h)
+        response = np.asarray(detector(warped), dtype=np.float32)
+        valid = ad._erode(fwd_mask, ad.MASK_EROSION)
+        response = np.where(valid, response, 0.0)
+        back, back_mask = geo.warp_image(response, hinv)
+        cover_f, cover_m = geo.warp_image(valid.astype(np.float32), hinv)
+        covered = back_mask & cover_m & (cover_f >= 1.0 - 1e-6)
+        accum += np.where(covered, back, 0.0)
+        count += covered
+    out = accum / count
+    return out.astype(np.float32)
 
 
 def diamond_erosion(mask, r):
@@ -93,6 +124,110 @@ class TestAdapt:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ad.AdaptConfig(n_homographies=0)
+
+
+def signed_detector(img):
+    """A third of the maps are +2**40, a third -2**40 (by a hash of the input), the rest the image.
+
+    Summed in another order than the warps', the cancelling maps keep or lose
+    the image's share, so the adapted map shows the order of the sums.
+    """
+    k = int(img.sum() * 1000) % 3
+    return img if k == 0 else np.full(img.shape, 2.0**40 if k == 1 else -(2.0**40), dtype=np.float32)
+
+
+class TestTwoThreads:
+    """adapt runs the odd warps on a helper thread; the bytes are those of one sequential loop."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        return sd.render_composite((100, 130), np.random.default_rng(50)).image
+
+    @pytest.mark.parametrize("nh", [1, 2, 3, 4, 20])
+    @pytest.mark.parametrize("name", ["micro", "harris", "signed"])
+    def test_equals_sequential_loop(self, image, nh, name):
+        detector = {
+            "micro": PointNet(ARCH_PRESETS["micro"], with_descriptor=False, seed=4).heatmap,
+            "harris": harris_detector,
+            "signed": signed_detector,
+        }[name]
+        cfg = ad.AdaptConfig(n_homographies=nh)
+        got = ad.adapt(detector, image, cfg, seed=11)
+        want = adapt_sequential(detector, image, cfg, seed=11)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_detector_error_reraised_and_helper_joined(self, image, side):
+        caller = threading.get_ident()
+        calls = []
+
+        def detector(img):
+            on_caller = threading.get_ident() == caller
+            calls.append(on_caller)
+            # the caller's second call is warp 2, made while the helper holds warp 3
+            if (side == "helper" and not on_caller) or (side == "caller" and calls.count(True) == 2):
+                raise RuntimeError(f"failed on the {side}")
+            return cl.harris(img)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"failed on the {side}"):
+            ad.adapt(detector, image, ad.AdaptConfig(n_homographies=6), seed=1)
+        assert threading.active_count() == before
+        assert False in calls and True in calls
+
+    def test_concurrent_calls_share_one_model(self):
+        model = PointNet(ARCH_PRESETS["micro"], with_descriptor=False, seed=5)
+        images = [sd.render_composite((64, 72), np.random.default_rng(60 + i)).image for i in range(4)]
+        cfg = ad.AdaptConfig(n_homographies=6)
+        want = [adapt_sequential(model.heatmap, img, cfg, seed=i).tobytes() for i, img in enumerate(images)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # four callers and their four helpers on one model, switching threads as often as the interpreter can
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(ad.adapt, model.heatmap, img, cfg, i) for i, img in enumerate(images)]
+                got = [f.result(timeout=120).tobytes() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_blas_runs_one_thread_inside_and_is_restored(self, image):
+        calls = ad._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found here")
+        get, set_ = calls
+        before = get()
+        seen = []
+
+        def detector(img):
+            seen.append(get())
+            return cl.harris(img)
+
+        set_(2)
+        try:
+            ad.adapt(detector, image, ad.AdaptConfig(n_homographies=4), seed=3)
+            # overlapping calls: the first in saves the count, the last out restores it
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                cfg = ad.AdaptConfig(n_homographies=3)
+                futures = [pool.submit(ad.adapt, detector, image, cfg, i) for i in range(3)]
+                for f in futures:
+                    f.result(timeout=120)
+            after = get()
+        finally:
+            set_(before)
+        assert seen == [1] * 13 and after == 2
+
+    def test_helper_runs_in_the_callers_errstate(self, image):
+        seen = []
+
+        def detector(img):
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return cl.harris(img)
+
+        with np.errstate(divide="raise"):
+            ad.adapt(detector, image, ad.AdaptConfig(n_homographies=4), seed=2)
+        assert len(seen) == 4 and len({ident for ident, _ in seen}) == 2
+        assert [mode for _, mode in seen] == ["raise"] * 4
 
 
 def warp_repeatability(detector, img, h, eps, k):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,39 @@ class TestWarpImage:
             ref_out, ref_mask = warp_image_meshgrid(img, h)
             assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
             np.testing.assert_array_equal(mask, ref_mask)
+
+    @pytest.mark.parametrize("shape,dtype", [
+        ((240, 320), np.float32),  # the benchmark size: bands of 102, 102 and 36 rows
+        ((250, 317), np.float32),  # 103-row bands that do not split the height evenly
+        ((1, 40000), np.float32),  # one row wider than a band
+        ((300, 1), np.float32),  # one column: the whole image in one band
+        ((240, 320), np.float64),
+    ])
+    def test_bands_equal_whole_image(self, shape, dtype):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        img = rng.random(shape).astype(dtype)
+        hs = list(random_homographies(rng, 2, shape)[:2])
+        # part of the frame goes through the plane at infinity
+        hs.append(geo.to_pixel_frame(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [1.5, -0.4, 1.0]]), shape))
+        for h in hs:
+            out, mask = geo.warp_image(img, h)
+            ref_out, ref_mask = warp_image_meshgrid(img, h)
+            assert out.dtype == ref_out.dtype and out.tobytes() == ref_out.tobytes()
+            np.testing.assert_array_equal(mask, ref_mask)
+        assert not mask.all() and mask.any()
+
+    def test_band_temporaries_stay_small(self):
+        img = np.random.default_rng(6).random((240, 320)).astype(np.float32)
+        h = geo.to_pixel_frame(geo.sample_homography(geo.ranges_preset("adaptation"), np.random.default_rng(7)),
+                               img.shape)
+        tracemalloc.start()
+        try:
+            geo.warp_image(img, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 plane of the image is 614 kB; the whole-image pass peaked at 10.8 MB, the bands at 5.5 MB
+        assert peak < 7e6, peak
 
 
 class TestHtxtFormat:

@@ -71,6 +71,19 @@ class TestAnyImageSize:
         np.testing.assert_array_equal(heat, model.heatmap(padded)[:75, :100])
         np.testing.assert_array_equal(model.heatmap(img), heat)
 
+    def test_joint_heatmap_skips_the_descriptor_head(self):
+        joint = PointNet(MICRO, with_descriptor=True, seed=4)
+        detector = PointNet(MICRO, with_descriptor=False, seed=0)
+        detector.store.load_state(joint.store.state_dict(), strict=False)
+
+        class Raises:
+            def forward(self, x, train):
+                raise AssertionError("the descriptor head ran")
+
+        joint.desc_head = [Raises()]
+        img = np.random.default_rng(3).random((75, 100)).astype(np.float32)
+        assert joint.heatmap(img).tobytes() == detector.heatmap(img).tobytes()
+
 
 class TestDecode:
     def test_uniform_logits_give_uniform_heatmap(self):

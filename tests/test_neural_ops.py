@@ -121,7 +121,12 @@ def assert_same_bytes(got, want, what):
 
 
 class TestTiledConvolution:
-    """The tiled 3x3 convolution gives the bytes of one whole-image im2col GEMM."""
+    """The tiled 3x3 convolution gives the bytes of one whole-image im2col GEMM.
+
+    Every multi-tile case has a first tile, whose padded band starts above the
+    image, and a last tile, whose band ends below it; (85, 48) has a merged
+    last tile, longer than the others, and batch 8 reuses one band per image.
+    """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,cin,cout,h,w", [
@@ -185,6 +190,19 @@ class TestTiledConvolution:
         finally:
             tracemalloc.stop()
         assert peak < patch_matrix / 2, (peak, patch_matrix)
+
+    def test_eval_forward_makes_no_padded_copy_of_the_input(self):
+        conv = Conv2d(ParamStore(np.float32), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
+        x = np.random.default_rng(1).random((1, 9, 240, 320), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            y = conv.forward(x, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # besides the output, one tile's patches (0.62 MB) and one padded band of rows (0.09 MB);
+        # a padded copy of the whole input would add 2.8 MB (peak 6.2 MB instead of 3.5 MB)
+        assert peak - y.nbytes < x.nbytes / 2, (peak, y.nbytes, x.nbytes)
 
 
 class TestMaxPool:
