@@ -487,6 +487,10 @@ class DetectorProtocol:
     def __post_init__(self):
         if self.n_points < 0:
             raise ValueError(f"DetectorProtocol.n_points must be >= 0 (0 keeps every point), got {self.n_points}")
+        if not (self.nms_radius >= 0.0):
+            raise ValueError(f"DetectorProtocol.nms_radius must be a number >= 0, got {self.nms_radius}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"DetectorProtocol.eps must be a finite number > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)

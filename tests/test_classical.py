@@ -1,7 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
 from pointpipe import classical as cl
+from pointpipe import cli
+from pointpipe import evalsuite as ev
+from pointpipe import imaging as im
 
 
 def step_corner(size=32, corner=(16, 16)):
@@ -119,6 +125,59 @@ class TestFast:
         np.testing.assert_allclose(got, expect, atol=1e-6)
 
 
+def fast_whole_image(img):
+    """FAST over whole-image (16, H-6, W-6) tap stacks, 16 starts x 2 polarities of min-of-9."""
+    img = np.asarray(img, dtype=np.float32)
+    hgt, wdt = img.shape
+    center = img[3 : hgt - 3, 3 : wdt - 3]
+    big = np.empty((16,) + center.shape, dtype=np.float32)
+    for k, (dx, dy) in enumerate(cl._FAST_OFFSETS):
+        big[k] = img[3 + dy : hgt - 3 + dy, 3 + dx : wdt - 3 + dx]
+    t = np.float32(cl.FAST_THRESHOLD)
+    bright = big - center - t
+    dark = center - t - big
+    margin = np.full(center.shape, -np.inf, dtype=np.float32)
+    for start in range(16):
+        idx = [(start + j) % 16 for j in range(cl.FAST_ARC)]
+        margin = np.maximum(margin, np.minimum.reduce([bright[i] for i in idx]))
+        margin = np.maximum(margin, np.minimum.reduce([dark[i] for i in idx]))
+    ys, xs = np.nonzero(margin > 0)
+    pts = np.stack([xs + 3.0, ys + 3.0, margin[ys, xs].astype(np.float64)], axis=1)
+    return cl.nms(pts, 3.0)
+
+
+class TestFastBandsEqualWholeImage:
+    def assert_same_bytes(self, img):
+        got, expect = cl.fast(img), fast_whole_image(img)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), img.shape
+
+    def test_composites(self):
+        images = cli.composite_images(3, (240, 320), 0)
+        assert all(len(cl.fast(img)) > 10 for img in images)
+        for img in images:
+            self.assert_same_bytes(img)
+            self.assert_same_bytes(1.0 - img)
+
+    def test_row_counts_around_band_multiples(self):
+        # output rows are the image rows minus 6; the last band may be short or a single row
+        rng = np.random.default_rng(11)
+        band = cl._FAST_BAND
+        for rows in (1, band - 1, band, band + 1, 2 * band - 1, 2 * band, 2 * band + 1):
+            img = (rng.random((rows + 6, 29)) > 0.6).astype(np.float32)
+            self.assert_same_bytes(img)
+            self.assert_same_bytes(rng.random((rows + 6, 7)).astype(np.float32))
+
+    def test_nan_pixel(self):
+        rng = np.random.default_rng(12)
+        img = (rng.random((40, 36)) > 0.6).astype(np.float32)
+        x, y = (int(v) for v in cl.fast(img)[0, :2])
+        dx, dy = cl._FAST_OFFSETS[5]
+        img[y + dy, x + dx] = np.nan  # on the strongest corner's circle
+        img[3, 30] = np.nan
+        self.assert_same_bytes(img)
+        assert (x, y) not in {(px, py) for px, py in cl.fast(img)[:, :2].tolist()}
+
+
 def nms_scan(points, radius):
     """Greedy NMS that tests each candidate against every accepted point."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -139,6 +198,13 @@ def nms_scan(points, radius):
         accepted[n_acc] = p
         n_acc += 1
     return accepted[:n_acc].copy()
+
+
+def assert_matches_scan(pts, radius):
+    got = cl.nms(pts, radius)
+    expect = nms_scan(pts, radius)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes(), (radius, len(pts))
 
 
 class TestNms:
@@ -180,11 +246,7 @@ class TestNms:
         out2 = cl.nms(pts[::-1], 5.0)
         np.testing.assert_array_equal(out1, out2)
 
-    def assert_matches_scan(self, pts, radius):
-        got = cl.nms(pts, radius)
-        expect = nms_scan(pts, radius)
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes(), (radius, len(pts))
+    assert_matches_scan = staticmethod(assert_matches_scan)
 
     def test_dense_lattice_tied_confidences(self):
         # every pixel a candidate with a few confidence levels, like Shi-Tomasi;
@@ -241,6 +303,156 @@ class TestNms:
         pts = np.array([[np.nan, 0.0, 0.9], [0.0, 0.0, 0.8], [1.0, 0.0, 0.7], [np.nan, 0.0, 0.6]])
         out = cl.nms(pts, 4.0)
         np.testing.assert_array_equal(out, pts[[0, 1, 3]])
+
+
+@pytest.fixture
+def raster_used(monkeypatch):
+    """List of bools, one per ``nms`` call that got past sorting: whether the coverage raster applied."""
+    used = []
+    original = cl._coverage_raster
+
+    def spy(*args):
+        raster = original(*args)
+        used.append(raster is not None)
+        return raster
+
+    monkeypatch.setattr(cl, "_coverage_raster", spy)
+    return used
+
+
+def lattice(x0, y0, wdt, hgt, rng, levels=4):
+    """Every pixel of a box, confidences on a few tied levels, in shuffled order."""
+    ys, xs = np.mgrid[y0 : y0 + hgt, x0 : x0 + wdt]
+    conf = rng.integers(0, levels, xs.size) / levels
+    pts = np.stack([xs.ravel(), ys.ravel(), conf], axis=1).astype(np.float64)
+    return pts[rng.permutation(len(pts))]
+
+
+class TestNmsRaster:
+    """The raster pre-filter against the all-pairs scan, and when it applies."""
+
+    RADII = (1.0, math.sqrt(2.0), 1.5, 2.5, 4.0, 8.0)
+
+    def test_dense_lattice_with_negative_offsets(self, raster_used):
+        rng = np.random.default_rng(20)
+        pts = lattice(-45, -31, 72, 50, rng)
+        assert len(pts) > 4 * cl._NMS_CHUNK  # several chunks
+        for radius in self.RADII:
+            assert_matches_scan(pts, radius)
+            assert_matches_scan(pts[rng.random(len(pts)) < 0.3], radius)  # a lattice with holes
+        assert raster_used == [True] * 2 * len(self.RADII)
+
+    def test_small_radii_keep_one_point_per_pixel(self, raster_used):
+        rng = np.random.default_rng(21)
+        pts = lattice(-3, 5, 20, 16, rng)
+        pts = np.concatenate([pts, pts[:100] * [1.0, 1.0, 0.5]])
+        for radius in (0.5, 1e-3, 1e-200):  # the last squares to 0, which still covers the pixel itself
+            assert_matches_scan(pts, radius)
+        assert raster_used == [True] * 3
+
+    def test_tied_confidences_and_duplicate_pixels(self, raster_used):
+        rng = np.random.default_rng(22)
+        pts = lattice(0, 0, 40, 30, rng, levels=2)
+        dup = pts[rng.integers(0, len(pts), 600)].copy()
+        dup[:300, 2] = rng.integers(0, 2, 300) / 2.0  # same pixel, other level
+        pts = np.concatenate([pts, dup])
+        for radius in self.RADII:
+            assert_matches_scan(pts, radius)
+        assert_matches_scan(np.c_[pts[:, :2], np.ones(len(pts))], 4.0)  # all tied
+        assert all(raster_used)
+
+    def test_chunk_boundaries(self, raster_used):
+        # a point accepted in one chunk suppresses candidates of the same and of later chunks
+        rng = np.random.default_rng(23)
+        for n in (cl._NMS_CHUNK - 1, cl._NMS_CHUNK, cl._NMS_CHUNK + 1, 3 * cl._NMS_CHUNK + 7):
+            side = int(math.ceil(math.sqrt(n)))
+            pts = lattice(-7, 2, side, side, rng, levels=8)[:n]
+            for radius in (1.5, 4.0):
+                assert_matches_scan(pts, radius)
+        assert all(raster_used)
+
+    def test_sparse_integer_set_falls_back(self, raster_used):
+        rng = np.random.default_rng(24)
+        pts = np.stack([rng.integers(-500, 500, 300), rng.integers(-400, 400, 300), rng.random(300)], axis=1)
+        for radius in self.RADII + (40.0,):
+            assert_matches_scan(pts.astype(np.float64), radius)
+        assert not any(raster_used)
+
+    def test_mixed_integer_and_fractional_sets_fall_back(self, raster_used):
+        rng = np.random.default_rng(25)
+        pts = lattice(-20, -20, 40, 40, rng)
+        for k in (0, 1):
+            mixed = pts.copy()
+            mixed[rng.integers(0, len(pts), 5), k] += 0.5
+            mixed[7, k] += 2.0**-30
+            for radius in (1.5, 4.0):
+                assert_matches_scan(mixed, radius)
+        assert raster_used == [False] * 4
+
+    def test_density_bound(self, raster_used):
+        # radius 1 pads the box by 1 px per side: corner points (0, 0) and (37, 37) make it 40 x 40
+        rng = np.random.default_rng(26)
+        for n, expect in ((1600 // cl._RASTER_DENSITY, True), (1600 // cl._RASTER_DENSITY - 1, False)):
+            xy = np.concatenate([[[0, 0], [37, 37]], rng.integers(0, 38, (n - 2, 2))])
+            pts = np.c_[xy.astype(np.float64), rng.integers(0, 3, n) / 3.0]
+            assert_matches_scan(pts, 1.0)
+            assert raster_used[-1] is expect
+
+    def test_coordinates_near_two_to_the_26(self, raster_used):
+        rng = np.random.default_rng(27)
+        below = lattice(2**26 - 30, -(2**26) + 1, 29, 20, rng)
+        assert_matches_scan(below, 2.5)
+        straddling = lattice(2**26 - 15, 0, 29, 20, rng)
+        assert_matches_scan(straddling, 2.5)
+        assert raster_used == [True, False]
+
+    def test_non_finite_and_infinite_inputs_fall_back(self, raster_used):
+        rng = np.random.default_rng(28)
+        pts = lattice(0, 0, 30, 30, rng)
+        assert_matches_scan(pts, math.inf)
+        assert len(cl.nms(pts, math.inf)) == 1  # an infinite radius keeps the top candidate
+        for bad in (np.inf, -np.inf):
+            odd = pts.copy()
+            odd[11, 1] = bad
+            assert_matches_scan(odd, 4.0)
+        # a NaN coordinate is within radius of nothing: kept, and the rest as without it
+        odd = pts.copy()
+        odd[11, 1] = np.nan
+        got = cl.nms(odd, 4.0)
+        nan_row = np.isnan(got[:, 1])
+        assert got[nan_row].tobytes() == odd[11].tobytes()
+        assert got[~nan_row].tobytes() == nms_scan(np.delete(pts, 11, axis=0), 4.0).tobytes()
+        assert raster_used == [False] * 5
+
+    def test_nan_radius_raises(self):
+        pts = np.array([[0.0, 0.0, 0.9], [1.0, 0.0, 0.8]])
+        for radius in (float("nan"), np.nan, np.float32("nan")):
+            with pytest.raises(ValueError, match="NaN"):
+                cl.nms(pts, radius)
+            with pytest.raises(ValueError, match="NaN"):
+                cl.nms(np.zeros((0, 3)), radius)
+
+
+class TestNmsPathTaken:
+    """Which candidate sets of the repo's detectors take the raster path (the speed-up depends on it)."""
+
+    def test_dense_classical_maps_use_the_raster(self, raster_used):
+        img = cli.composite_images(1, (240, 320), 0)[0]
+        noisy = im.apply_noise_battery(img, np.random.default_rng(1))
+        for response in (cl.shi_tomasi(img), cl.harris(noisy)):
+            ev.select_points(cl.threshold_points(response, 1e-12), ev.DetectorProtocol())
+        assert raster_used == [True, True]
+
+    def test_sparse_candidates_keep_the_loop(self, raster_used):
+        img = cli.composite_images(1, (240, 320), 0)[0]
+        # clean Harris is 16-80x sparser than its padded box on the detect composites
+        ev.select_points(cl.threshold_points(cl.harris(img), 1e-12), ev.DetectorProtocol())
+        ev.select_points(ev.random_points(img.shape, 300, np.random.default_rng(0)), ev.DetectorProtocol())
+        cl.fast(img)  # its internal NMS
+        # the joint model's heatmap, thresholded as match runs it (1.3k-1.8k candidates at 240x320)
+        weights = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "joint.spw")
+        cl.heatmap_to_points(cli.load_model(weights).heatmap(img), 0.015, 4.0)
+        assert raster_used == [False] * 4
 
 
 class TestHeatmapToPoints:

@@ -190,6 +190,22 @@ class TestExitCodes:
             assert "DetectorProtocol.n_points must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
+    def test_nan_nms_radius_exits_3_without_output(self, tmp_path, capsys):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        commands = [
+            (["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o")],
+             "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
+            (["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
+              "--out", str(tmp_path / "r.csv")], "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
+            (["adapt-label", "--images", str(tmp_path), "--weights", "harris", "--out", str(tmp_path / "labels"),
+              "--nh", "2"], "AdaptConfig.nms_radius must be a number >= 0, got nan"),
+        ]
+        for argv, message in commands:
+            assert run(argv + ["--nms", "nan"]) == 3, argv[0]
+            assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--ransac-iters", "0"], "RansacParams.max_iters must be >= 1, got 0"),
         (["--ransac-iters", "-5"], "RansacParams.max_iters must be >= 1, got -5"),

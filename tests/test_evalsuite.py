@@ -819,6 +819,25 @@ class TestHomographyCorrectness:
         assert ev.corner_error(h_est, h_gt, (48, 64)) == pytest.approx(2.0, abs=1e-12)
 
 
+class TestDetectorProtocol:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"nms_radius": float("nan")}, "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
+        ({"nms_radius": -1.0}, "DetectorProtocol.nms_radius must be a number >= 0, got -1.0"),
+        ({"eps": float("nan")}, "DetectorProtocol.eps must be a finite number > 0, got nan"),
+        ({"eps": math.inf}, "DetectorProtocol.eps must be a finite number > 0, got inf"),
+        ({"eps": 0.0}, "DetectorProtocol.eps must be a finite number > 0, got 0.0"),
+    ])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ev.DetectorProtocol(**kwargs)
+
+    def test_infinite_radius_keeps_the_top_point(self):
+        protocol = ev.DetectorProtocol(nms_radius=math.inf)
+        pts = np.array([[1.0, 2.0, 0.3], [50.0, 60.0, 0.9], [9.0, 9.0, 0.5]])
+        np.testing.assert_array_equal(ev.select_points(pts, protocol), pts[[1]])
+        assert len(ev.select_points(pts, ev.DetectorProtocol(nms_radius=0.0))) == 3
+
+
 class TestBenchmarks:
     def composite_pairs(self, n=6, shape=(96, 96), seed=0):
         imgs = [sd.render_composite(shape, np.random.default_rng((seed, i))).image for i in range(n)]
