@@ -15,8 +15,8 @@ HARRIS_K = 0.04
 WINDOW_SIGMA = 1.0  # px, Gaussian structure-tensor window
 FAST_THRESHOLD = 0.08  # intensity units in [0,1]
 FAST_ARC = 9  # contiguous circle pixels required
-_NMS_CHUNK = 256  # rank-ordered candidates per raster filter pass and Python-float conversion
-_RASTER_DENSITY = 8  # the padded lattice box may hold this many pixels per candidate
+_NMS_CHUNK = 256  # rank-ordered candidates per raster gather and Python-int conversion
+_RASTER_DENSITY = 256  # the padded lattice box may hold this many pixels (raster bytes) per candidate
 _FAST_BAND = 16  # output rows per arc-test pass
 
 
@@ -134,24 +134,15 @@ def nms(points: np.ndarray, radius: float) -> np.ndarray:
     Candidates are visited by descending confidence (ties broken by
     ascending (y, x)); one is accepted iff no already-accepted point lies
     within ``radius`` (``dx*dx + dy*dy <= radius**2`` in float64, so a
-    coordinate that is NaN is within radius of nothing).  Output
-    order is acceptance order, which makes the result independent of input
-    order.  Accepted points are kept in a dict of radius-sized grid cells,
-    so each candidate is tested against at most 9 cells, not against every
-    accepted point.  A NaN radius raises ``ValueError``; an infinite one
-    keeps the top candidate.
+    coordinate that is NaN is within radius of nothing).  Output order is
+    acceptance order, which makes the result independent of input order.
+    A NaN radius raises ``ValueError``; an infinite one keeps the top
+    candidate.
 
-    Candidates on a dense pixel lattice (every coordinate an integer below
-    2**26 in magnitude, and a bounding box padded by the radius with at
-    most ``_RASTER_DENSITY`` pixels per candidate, as thresholded dense
-    response maps give) also pass a coverage raster: a pixel is marked
-    when it lies within ``radius`` of an accepted point, by the same
-    float64 test on the integer offsets.  Differences of such coordinates
-    are exact, so a marked pixel is one the test above suppresses, and a
-    candidate on a marked pixel is dropped without the scalar test.  The
-    raster only learns a chunk's accepted points after that chunk, so all
-    others still pass the scalar test, which alone accepts points.  Other
-    candidate sets skip the raster.
+    Candidates on a dense pixel lattice (see ``_coverage_raster``) are
+    tested on a raster that marks every pixel within ``radius`` of an
+    accepted point; all other candidate sets are scanned against every
+    accepted point.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if math.isnan(radius):
@@ -163,44 +154,36 @@ def nms(points: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0:
         return pts
     r2 = float(radius * radius)
-    # A cell is a radius wide plus 2**-20 of it, so a pair that passes the
-    # rounded distance test is never two cells apart; the 1e-150 floor
-    # covers radii whose square underflows, and a radius whose square may
-    # overflow gets one infinite cell.  Clipping indices at +-2**30 keeps the
-    # margin above the rounding of x / cell and puts non-finite coordinates
-    # in some cell: sharing a cell only adds exact tests.
-    cell = math.inf if radius > 1e150 else max(float(radius) * (1.0 + 2.0**-20), 1e-150)
-    neighbours = [(di << 32) + dj for di in (0, -1, 1) for dj in (0, -1, 1)]
-    ij = np.nan_to_num(np.floor(pts[:, :2] / cell), nan=0.0)
-    ij = np.clip(ij, -(2.0**30), 2.0**30).astype(np.int64)
-    keys = (ij[:, 0] << 32) + ij[:, 1]
     raster = _coverage_raster(pts[:, :2], radius, r2)
-    grid: dict[int, list] = {}
+    if raster is None:
+        return pts[_scan(pts[:, :2], r2)]
+    marks, pixel, disk = raster
+    covered = np.frombuffer(marks, dtype=bool)  # paints and gathers; marks[p] is the cheap scalar read
     kept = []
     for start in range(0, len(pts), _NMS_CHUNK):
-        # bounded chunks: the loop is scalar Python, its temporaries stay small
-        rows = np.arange(start, min(start + _NMS_CHUNK, len(pts)))
-        if raster is not None:
-            covered, pixel, disk = raster
-            rows = rows[~covered[pixel[rows]]]
-        n_kept = len(kept)
-        for i, x, y, key in zip(rows.tolist(), pts[rows, 0].tolist(), pts[rows, 1].tolist(), keys[rows].tolist()):
-            if _suppressed(grid, key, neighbours, x, y, r2):
-                continue
-            grid.setdefault(key, []).append((x, y))
-            kept.append(i)
-        if raster is not None and len(kept) > n_kept:
-            covered[(pixel[kept[n_kept:]][:, None] + disk).ravel()] = True
+        # one gather drops the chunk's candidates covered by earlier chunks
+        rows = start + np.flatnonzero(~covered[pixel[start : start + _NMS_CHUNK]])
+        for i, p in zip(rows.tolist(), pixel[rows].tolist()):
+            if not marks[p]:
+                covered[disk + p] = True
+                kept.append(i)
     return pts[kept]
 
 
 def _coverage_raster(xy: np.ndarray, radius: float, r2: float):
-    """(covered, pixel, disk) for candidates on a dense integer lattice, else None.
+    """(marks, pixel, disk) for candidates on a dense integer lattice, else None.
 
-    ``covered`` is a flat bool raster of the candidates' bounding box padded
-    by ``floor(radius)`` on each side, ``pixel`` each candidate's flat index
-    in it, and ``disk`` the flat offsets (dx, dy) with
-    ``dx*dx + dy*dy <= r2``.
+    The lattice test: every coordinate is an integer below 2**26 in
+    magnitude, so differences of coordinates are exact, and the box of the
+    candidates padded by ``floor(radius)`` on each side holds at most
+    ``_RASTER_DENSITY`` pixels per candidate.  ``marks`` is a zeroed
+    ``bytearray`` over that box, ``pixel`` each candidate's flat index in
+    it, and ``disk`` the flat offsets (dx, dy) with ``dx*dx + dy*dy <= r2``
+    for |dx|, |dy| <= floor(radius): the float64 test of ``nms`` on exact
+    integer differences, so a pixel painted with the disk of every accepted
+    point is marked iff that test suppresses it.  No larger offset passes
+    the test: with k = floor(radius) + 1, radius <= pred(k), so
+    fl(radius**2) < k*k.
     """
     if not math.isfinite(radius) or not np.all(np.abs(xy) < 2.0**26) or not np.array_equal(xy, np.floor(xy)):
         return None
@@ -213,17 +196,25 @@ def _coverage_raster(xy: np.ndarray, radius: float, r2: float):
     dy, dx = np.nonzero(offsets[None, :] * offsets[None, :] + offsets[:, None] * offsets[:, None] <= r2)
     disk = (dy - pad) * wdt + (dx - pad)
     col, row = (xy - lo + pad).astype(np.int64).T
-    return np.zeros(wdt * hgt, dtype=bool), row * wdt + col, disk
+    return bytearray(wdt * hgt), row * wdt + col, disk
 
 
-def _suppressed(grid, key, neighbours, x, y, r2) -> bool:
-    for offset in neighbours:
-        for ax, ay in grid.get(key + offset, ()):
-            dx = ax - x
-            dy = ay - y
-            if dx * dx + dy * dy <= r2:
-                return True
-    return False
+def _scan(xy: np.ndarray, r2: float) -> list:
+    """Rows of ``xy`` that greedy NMS accepts, each tested against every accepted point."""
+    accepted = np.empty((2, len(xy)))
+    kept = []
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN: within radius of nothing
+        for i, (x, y) in enumerate(xy.tolist()):
+            n = len(kept)
+            dx = accepted[0, :n] - x
+            dx *= dx
+            dy = accepted[1, :n] - y
+            dy *= dy
+            dx += dy
+            if not (dx <= r2).any():
+                accepted[:, n] = x, y
+                kept.append(i)
+    return kept
 
 
 def threshold_points(heatmap: np.ndarray, threshold: float) -> np.ndarray:

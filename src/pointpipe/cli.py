@@ -87,6 +87,10 @@ def heatmap_detector(spec: str):
 
 
 def make_system(weights, threshold, nms_radius, top_k, random_desc_seed=None):
+    if not (nms_radius >= 0.0):
+        raise ValueError(f"--nms must be a number >= 0, got {nms_radius}")
+    if top_k < 0:
+        raise ValueError(f"--top-k must be >= 0 (0 keeps every point), got {top_k}")
     model = load_model(weights)
     if model.desc_head is None:
         raise ConfigError(f"{weights}: weight file has no descriptor head")
@@ -126,6 +130,14 @@ def parse_mix(text: str):
     return mix
 
 
+def check_image_size(cfg, section, multiple=1):
+    """Reject a --height/--width the shape renderer (>= 32) or the network (a multiple of 8) cannot take."""
+    for key in (f"{section}.height", f"{section}.width"):
+        if cfg[key] < 32 or cfg[key] % multiple:
+            rule = "at least 32" + (f" and a multiple of {multiple}" if multiple > 1 else "")
+            raise ValueError(f"config key {key}: must be {rule}, got {cfg[key]}")
+
+
 def composite_images(count, shape, seed):
     return [
         sd.render_composite(shape, np.random.default_rng(np.random.SeedSequence((seed, 0x7A, i)))).image
@@ -154,6 +166,7 @@ def parse_detectors(text, threshold):
 
 
 def cmd_synth(cfg, args):
+    check_image_size(cfg, "synth")
     out = cfg["synth.out"]
     os.makedirs(out, exist_ok=True)
     stream_cfg = sd.StreamConfig(
@@ -183,6 +196,7 @@ SYNTH_SCHEMA = [
 
 
 def cmd_train_magicpoint(cfg, args):
+    check_image_size(cfg, "train_mp", CELL)
     stream_cfg = sd.StreamConfig(
         height=cfg["train_mp.height"], width=cfg["train_mp.width"],
         mix=parse_mix(cfg["train_mp.mix"]), noise=cfg["train_mp.noise"], seed=cfg["train_mp.seed"],
@@ -337,6 +351,8 @@ TRAIN_SP_SCHEMA = [
 
 
 def cmd_detect(cfg, args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     inp = cfg["detect.input"]
     paths = list_images(inp) if os.path.isdir(inp) else [inp]
     protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
@@ -443,13 +459,13 @@ def cmd_eval_matching(cfg, args):
                           f"got {cfg['eval_match.eps_list']!r}") from None
     protocol = ev.MatchingProtocol(n_points=cfg["eval_match.n_points"], eps=cfg["eval_match.eps"],
                                    eps_list=eps_list, ransac=ev.RansacParams(seed=seed))
-    images = eval_images(cfg, "eval_match", seed)
-    pairs = ev.warped_pair_dataset(images, geo.ranges_preset(cfg["eval_match.preset"]), seed=seed)
     system = make_system(
         cfg["eval_match.weights"], cfg["eval_match.threshold"], cfg["eval_match.nms"],
         cfg["eval_match.n_points"],
         random_desc_seed=seed if cfg["eval_match.random_descriptors"] else None,
     )
+    images = eval_images(cfg, "eval_match", seed)
+    pairs = ev.warped_pair_dataset(images, geo.ranges_preset(cfg["eval_match.preset"]), seed=seed)
     report = ev.run_matching_benchmark(system, pairs, protocol)
     ev.write_matching_report_csv(cfg["eval_match.out"], report)
     print(ev.format_matching_table(report))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from pointpipe import adaptation as ad
 from pointpipe import classical as cl
 from pointpipe import cli
 from pointpipe import evalsuite as ev
@@ -329,7 +330,7 @@ def lattice(x0, y0, wdt, hgt, rng, levels=4):
 
 
 class TestNmsRaster:
-    """The raster pre-filter against the all-pairs scan, and when it applies."""
+    """The raster path against the all-pairs scan, and when it applies."""
 
     RADII = (1.0, math.sqrt(2.0), 1.5, 2.5, 4.0, 8.0)
 
@@ -341,6 +342,15 @@ class TestNmsRaster:
             assert_matches_scan(pts, radius)
             assert_matches_scan(pts[rng.random(len(pts)) < 0.3], radius)  # a lattice with holes
         assert raster_used == [True] * 2 * len(self.RADII)
+
+    def test_radii_just_below_an_integer(self, raster_used):
+        # floor(radius) bounds the disk: the offset k itself must fail the test
+        rng = np.random.default_rng(29)
+        pts = lattice(-9, -4, 40, 30, rng)
+        for k in range(1, 9):
+            for radius in (np.nextafter(float(k), 0.0), np.nextafter(np.float32(k), np.float32(0.0))):
+                assert_matches_scan(pts, radius)
+        assert raster_used == [True] * 16
 
     def test_small_radii_keep_one_point_per_pixel(self, raster_used):
         rng = np.random.default_rng(21)
@@ -392,7 +402,8 @@ class TestNmsRaster:
     def test_density_bound(self, raster_used):
         # radius 1 pads the box by 1 px per side: corner points (0, 0) and (37, 37) make it 40 x 40
         rng = np.random.default_rng(26)
-        for n, expect in ((1600 // cl._RASTER_DENSITY, True), (1600 // cl._RASTER_DENSITY - 1, False)):
+        fewest = -(-1600 // cl._RASTER_DENSITY)  # candidates a 1600-pixel box needs
+        for n, expect in ((fewest, True), (fewest - 1, False)):
             xy = np.concatenate([[[0, 0], [37, 37]], rng.integers(0, 38, (n - 2, 2))])
             pts = np.c_[xy.astype(np.float64), rng.integers(0, 3, n) / 3.0]
             assert_matches_scan(pts, 1.0)
@@ -434,25 +445,25 @@ class TestNmsRaster:
 
 
 class TestNmsPathTaken:
-    """Which candidate sets of the repo's detectors take the raster path (the speed-up depends on it)."""
+    """Which candidate sets of the repo's detectors take the raster path (the scan is quadratic)."""
 
     def test_dense_classical_maps_use_the_raster(self, raster_used):
         img = cli.composite_images(1, (240, 320), 0)[0]
         noisy = im.apply_noise_battery(img, np.random.default_rng(1))
-        for response in (cl.shi_tomasi(img), cl.harris(noisy)):
+        for response in (cl.shi_tomasi(img), cl.harris(img), cl.harris(noisy)):
             ev.select_points(cl.threshold_points(response, 1e-12), ev.DetectorProtocol())
-        assert raster_used == [True, True]
+        assert raster_used == [True, True, True]
 
-    def test_sparse_candidates_keep_the_loop(self, raster_used):
+    def test_learned_maps_use_the_raster_and_random_points_are_scanned(self, raster_used):
         img = cli.composite_images(1, (240, 320), 0)[0]
-        # clean Harris is 16-80x sparser than its padded box on the detect composites
-        ev.select_points(cl.threshold_points(cl.harris(img), 1e-12), ev.DetectorProtocol())
+        fixtures = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures")
+        # the joint model's heatmap as match thresholds it, and an adapted map as label does
+        cl.heatmap_to_points(cli.load_model(os.path.join(fixtures, "joint.spw")).heatmap(img), 0.015, 4.0)
+        detector = cli.load_model(os.path.join(fixtures, "detector.spw")).heatmap
+        cl.heatmap_to_points(ad.adapt(detector, img, ad.AdaptConfig(n_homographies=3), seed=0), 0.015, 4.0)
+        assert raster_used == [True, True]
         ev.select_points(ev.random_points(img.shape, 300, np.random.default_rng(0)), ev.DetectorProtocol())
-        cl.fast(img)  # its internal NMS
-        # the joint model's heatmap, thresholded as match runs it (1.3k-1.8k candidates at 240x320)
-        weights = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "joint.spw")
-        cl.heatmap_to_points(cli.load_model(weights).heatmap(img), 0.015, 4.0)
-        assert raster_used == [False] * 4
+        assert raster_used == [True, True, False]
 
 
 class TestHeatmapToPoints:

@@ -206,6 +206,51 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
+    @pytest.mark.parametrize("command", [
+        ["match", "--image-a", "{tmp}/a.pgm", "--image-b", "{tmp}/b.pgm", "--out", "{tmp}/o"],
+        ["eval-matching", "--count", "1", "--out", "{tmp}/r.csv"],
+    ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--nms", "nan"], "--nms must be a number >= 0, got nan"),
+        (["--nms", "-1"], "--nms must be a number >= 0, got -1.0"),
+    ])
+    def test_bad_matching_nms_exits_3_before_loading(self, tmp_path, capsys, command, flags, message):
+        # the weight file does not exist: the radius is checked before it is read
+        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--weights", str(tmp_path / "unread.spw")]
+        assert run(argv + flags) == 3
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_match_budget_exits_3_before_loading(self, tmp_path, capsys):
+        assert run(["match", "--weights", str(tmp_path / "unread.spw"), "--image-a", "a.pgm", "--image-b", "b.pgm",
+                    "--out", str(tmp_path / "o"), "--top-k", "-1"]) == 3
+        assert "--top-k must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, flags, message", [
+        (["synth", "--out", "{tmp}/s", "--count", "1"], ["--height", "20"],
+         "config key synth.height: must be at least 32, got 20"),
+        (["synth", "--out", "{tmp}/s", "--count", "1"], ["--width", "31"],
+         "config key synth.width: must be at least 32, got 31"),
+        (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], ["--height", "100"],
+         "config key train_mp.height: must be at least 32 and a multiple of 8, got 100"),
+        (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], ["--width", "24"],
+         "config key train_mp.width: must be at least 32 and a multiple of 8, got 24"),
+    ])
+    def test_bad_image_size_exits_3_before_output(self, tmp_path, capsys, command, flags, message):
+        assert run([arg.format(tmp=tmp_path) for arg in command] + flags) == 3
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_detect_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        assert run(["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o"),
+                    "--threads", threads]) == 2
+        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--ransac-iters", "0"], "RansacParams.max_iters must be >= 1, got 0"),
         (["--ransac-iters", "-5"], "RansacParams.max_iters must be >= 1, got -5"),
