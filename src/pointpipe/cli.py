@@ -391,16 +391,16 @@ def cmd_match(cfg, args):
     img_b = im.read_pgm(cfg["match.image_b"])
     pts_a, desc_a = system(img_a)
     pts_b, desc_b = system(img_b)
+    matches = ev.match_nn(desc_a, desc_b, pts_a, pts_b)
+    h_est = ev.estimate_homography(matches, ransac)
     out = cfg["match.out"]
     os.makedirs(out, exist_ok=True)
-    matches = ev.match_nn(desc_a, desc_b, pts_a, pts_b)
     with open(os.path.join(out, "matches.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["idx_a", "idx_b", "xa", "ya", "xb", "yb", "distance"])
         for i, j, d in zip(matches.idx_a, matches.idx_b, matches.distance):
             w.writerow([i, j, f"{pts_a[i, 0]:.3f}", f"{pts_a[i, 1]:.3f}",
                         f"{pts_b[j, 0]:.3f}", f"{pts_b[j, 1]:.3f}", f"{d:.6f}"])
-    h_est = ev.estimate_homography(matches, ransac)
     geo.save_homography(os.path.join(out, "estimated.htxt"), h_est)
     side = np.hstack([im.overlay_points(img_a, pts_a), im.overlay_points(img_b, pts_b)])
     im.write_pgm(os.path.join(out, "side_by_side.pgm"), side)

@@ -364,7 +364,20 @@ RANSAC_BLOCK = 64
 _COLLINEAR, _FAILED, _SVD_FAILED, _SCORED = range(4)
 
 
-def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, threshold: float):
+def _transfer_norms(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(dx*dx + dy*dy) with dx = u / w - dst_x and so on, for each of the
+    (B, 3, 3) homographies and (N, 2) points, computed in place; and the mask
+    of the homographies that send no point to infinity."""
+    u, v, w = geo.project(h, src)
+    for num, ref in ((u, dst[:, 0]), (v, dst[:, 1])):
+        num /= w
+        num -= ref
+        num *= num
+    u += v
+    return np.sqrt(u, out=u), ~(np.abs(w) < geo.DET_EPS).any(axis=1)
+
+
+def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, threshold: float, floor: int):
     """Outcome, inlier count and symmetric transfer errors of each (B, 4) minimal sample.
 
     Elementwise the same arithmetic as dlt_homography, geo.invert and geo.apply
@@ -373,6 +386,16 @@ def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, thr
     _SVD_FAILED when its DLT matrix is not finite (np.linalg.svd raises on
     it), and _FAILED when its DLT is rank-deficient, its Hartley transform or
     its homography is singular, or a point maps to infinity either way.
+
+    A hypothesis that cannot reach ``floor`` inliers is also _FAILED, without
+    its backward transfer.  With sf, sb >= 0 (or NaN) the forward and backward
+    transfer norms, the error is err = fl(0.5 * fl(sf + sb)).  Rounding is
+    monotone, so fl(sf + sb) >= sf and err >= fl(0.5 * sf): a point is an
+    inlier (err <= threshold) only if fl(0.5 * sf) <= threshold.  This holds
+    for subnormal thresholds and for those whose double overflows, and NaN
+    fails both tests, so fewer than ``floor`` points passing the bound means
+    fewer than ``floor`` inliers.  The errors of every other hypothesis are
+    computed by the same operations on the same arrays as without the bound.
     """
     src, dst = a_xy[picks], b_xy[picks]
     outcome = np.full(len(picks), _COLLINEAR)
@@ -383,30 +406,23 @@ def _evaluate_samples(a_xy: np.ndarray, b_xy: np.ndarray, picks: np.ndarray, thr
     finite = np.isfinite(a).all(axis=(-2, -1))
     outcome[live[~finite]] = _SVD_FAILED
     live, a, t1, t2 = live[finite], a[finite], t1[finite], t2[finite]
+    outcome[live] = _FAILED
     hn, ok = _null_space(a)
     t2inv, ok2 = geo.invert_many(t2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = t2inv @ hn @ t1
         ok &= ok2 & ~(np.abs(h[:, 2, 2]) < geo.DET_EPS)
         h = h / h[:, 2:3, 2:3]
+        sf, finite = _transfer_norms(h, a_xy, b_xy)
+        ok &= finite & ((0.5 * sf <= threshold).sum(axis=1) >= floor)
+        live, err = live[ok], sf[ok]
         # failed hypotheses may hold NaN or inf, and np.linalg.inv rejects a whole stack for one bad matrix
-        hinv = np.full_like(h, np.nan)
-        hinv[ok], ok[ok] = geo.invert_many(h[ok])
-        fu, fv, fw = geo.project(h, a_xy)
-        bu, bv, bw = geo.project(hinv, b_xy)
-        ok &= ~(np.abs(fw) < geo.DET_EPS).any(axis=1) & ~(np.abs(bw) < geo.DET_EPS).any(axis=1)
-        # 0.5 * (sqrt(fx*fx + fy*fy) + sqrt(bx*bx + by*by)) with fx = fu / fw - b_x and
-        # so on, computed in place by the same operations in the same order
-        for num, den, ref in ((fu, fw, b_xy[:, 0]), (fv, fw, b_xy[:, 1]), (bu, bw, a_xy[:, 0]), (bv, bw, a_xy[:, 1])):
-            num /= den
-            num -= ref
-            num *= num
-        fu += fv
-        bu += bv
-        err = np.sqrt(fu, out=fu)
-        err += np.sqrt(bu, out=bu)
+        hinv, ok = geo.invert_many(h[ok])
+        sb, finite = _transfer_norms(hinv, b_xy, a_xy)
+        ok &= finite
+        err += sb
         err *= 0.5
-    outcome[live] = np.where(ok, _SCORED, _FAILED)
+    outcome[live[ok]] = _SCORED
     errors[live] = err
     counts[live] = (err <= threshold).sum(axis=1)
     return outcome, counts, errors
@@ -435,7 +451,8 @@ def estimate_homography(matches: MatchSet, params: RansacParams = RansacParams()
     i = 0
     while i < needed:
         picks = np.array([rng.choice(n, size=4, replace=False) for _ in range(min(RANSAC_BLOCK, needed - i))])
-        outcome, counts, errors = _evaluate_samples(a_xy, b_xy, picks, params.threshold)
+        # the best count only grows during the replay, so its value now bounds it from below throughout
+        outcome, counts, errors = _evaluate_samples(a_xy, b_xy, picks, params.threshold, best_score[0])
         for k in range(len(picks)):
             if i >= needed:
                 break

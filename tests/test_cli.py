@@ -267,6 +267,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm", "sp.spw"]
 
+    def test_ransac_failure_exits_3_without_output(self, tmp_path, capsys):
+        # every point of the first image matches the same point of the second, so every sample is collinear
+        images = tmp_path / "images"
+        assert run(["synth", "--count", "3", "--height", "240", "--width", "320", "--seed", "4",
+                    "--out", str(images)]) == 0
+        weights = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures", "joint.spw")
+        out = tmp_path / "o"
+        assert run(["match", "--weights", weights, "--image-a", str(images / "000000.pgm"),
+                    "--image-b", str(images / "000001.pgm"), "--out", str(out), "--ransac-iters", "1"]) == 3
+        assert "could not draw a non-degenerate minimal sample" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, code, message", [
         (["--eps", "-2", "--eps-list", "1,-3"], 3, "MatchingProtocol.eps must be a finite number > 0, got -2.0"),
         (["--eps-list", "1,-3"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got -3.0"),

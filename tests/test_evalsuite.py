@@ -1,10 +1,12 @@
 """Metric semantics plus exact equivalence against O(n^2) oracles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from pointpipe import cli
 from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
 from pointpipe import synthdata as sd
@@ -794,6 +796,86 @@ class TestEstimateHomographyEqualsLoop:
         want = outcome(estimate_homography_loop, matches_from_arrays(src, dst), ev.RansacParams(seed=1))
         assert want[0] == "LinAlgError"
         self.assert_equals_loop(src, dst, seed=1)
+
+    def test_subnormal_threshold(self):
+        # a grid matched to itself: many transfer errors are exactly 0, so counts exceed 0 and the bound prunes
+        src = np.stack([np.arange(300) % 20, np.arange(300) // 20], axis=1) * 8.0
+        stats = self.assert_equals_loop(src, src.copy(), seed=2, max_iters=3 * ev.RANSAC_BLOCK, threshold=5e-324)
+        assert stats["iterations"] == 3 * ev.RANSAC_BLOCK
+
+    def test_threshold_whose_double_overflows(self):
+        # 2 * 1e308 is inf; every finite transfer error is an inlier, so the first model stops the draws
+        rng = np.random.default_rng(25)
+        src, dst = correspondences(rng, 300, 0.1, shape=(240, 320))
+        for seed in range(3):
+            stats = self.assert_equals_loop(src, dst, seed=seed, threshold=1e308)
+            assert stats["iterations"] == 1
+
+    def test_low_inlier_set_with_a_nan_and_an_infinite_point(self):
+        rng = np.random.default_rng(26)
+        src, dst = correspondences(rng, 1000, 0.1, shape=(240, 320))
+        dst[0] = np.inf
+        dst[1] = np.nan
+        outcomes = []
+        for seed in range(4):
+            matches, p = matches_from_arrays(src, dst), ev.RansacParams(seed=seed, max_iters=3 * ev.RANSAC_BLOCK + 5)
+            # the loop's own arithmetic on the infinite point warns; the block code must not
+            with np.errstate(invalid="ignore"):
+                want = outcome(estimate_homography_loop, matches, p)
+            assert outcome(ev.estimate_homography, matches, p) == want
+            outcomes.append(want[0] if isinstance(want, tuple) else "model")
+        # a draw of either point makes the DLT matrix non-finite; the other seeds run every block
+        assert set(outcomes) == {"model", "LinAlgError"}
+
+    def test_hypotheses_below_the_best_count_skip_the_backward_transfer(self, monkeypatch):
+        stacks = []
+        project = geo.project
+
+        def spy(h, pts):
+            if h.ndim == 3 and pts.ndim == 2:  # the transfers of _evaluate_samples, not geo.apply's
+                stacks.append(len(h))
+            return project(h, pts)
+
+        monkeypatch.setattr(geo, "project", spy)
+        rng = np.random.default_rng(27)
+        src, dst = correspondences(rng, 1000, 0.1, shape=(240, 320))
+        stats = self.assert_equals_loop(src, dst, seed=1, max_iters=3 * ev.RANSAC_BLOCK + 5)
+        assert stats["iterations"] == 3 * ev.RANSAC_BLOCK + 5
+        forward, backward = stacks[0::2], stacks[1::2]
+        assert len(forward) == len(backward) >= 4
+        assert all(b < f for f, b in zip(forward[1:], backward[1:])), (forward, backward)
+
+    def test_fixture_model_on_a_warped_composite(self):
+        # about 1000 matches with a few dozen inliers, the regime of the match benchmark
+        fixtures = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures")
+        system = cli.make_system(os.path.join(fixtures, "joint.spw"), 0.015, 4.0, 1000)
+        images = cli.composite_images(1, (240, 320), 0)
+        ((img_a, img_b, _),) = ev.warped_pair_dataset(images, geo.ranges_preset("training"), seed=1)
+        (pts_a, desc_a), (pts_b, desc_b) = system(img_a), system(img_b)
+        matches, p = ev.match_nn(desc_a, desc_b, pts_a, pts_b), ev.RansacParams(seed=1, max_iters=300)
+        want = outcome(estimate_homography_loop, matches, p)
+        assert isinstance(want, bytes)
+        assert outcome(ev.estimate_homography, matches, p) == want
+
+
+class TestRansacFloor:
+    """A floor on the inlier count changes no hypothesis that can reach it and prunes only those that cannot."""
+
+    def test_pruned_hypotheses_fall_below_the_floor(self):
+        rng = np.random.default_rng(28)
+        a_xy, b_xy = correspondences(rng, 1000, 0.1, shape=(240, 320))
+        picks = np.array([rng.choice(len(a_xy), size=4, replace=False) for _ in range(ev.RANSAC_BLOCK)])
+        kinds, counts, errors = ev._evaluate_samples(a_xy, b_xy, picks, 3.0, -1)
+        scored = kinds == ev._SCORED
+        floors = sorted({int(c) + d for c in counts[scored] for d in (0, 1)})
+        for floor in floors:
+            got_kinds, got_counts, got_errors = ev._evaluate_samples(a_xy, b_xy, picks, 3.0, floor)
+            pruned = got_kinds != kinds
+            assert (got_kinds[pruned] == ev._FAILED).all() and scored[pruned].all()
+            assert (counts[pruned] < floor).all(), floor
+            assert got_counts[~pruned].tobytes() == counts[~pruned].tobytes()
+            assert got_errors[~pruned & scored].tobytes() == errors[~pruned & scored].tobytes()
+        assert pruned.sum() > ev.RANSAC_BLOCK // 2
 
 
 class TestRansacParams:
