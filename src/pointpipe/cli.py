@@ -52,7 +52,7 @@ def parallel_map(fn, items, threads):
 
 
 # ---------------------------------------------------------------------------
-# shared loading helpers
+# shared helpers: loading, settings groups, output
 
 
 def load_model(path) -> PointNet:
@@ -86,11 +86,15 @@ def heatmap_detector(spec: str):
     return model.heatmap
 
 
+def check_top_k(top_k):
+    if top_k < 0:
+        raise ValueError(f"--top-k must be >= 0 (0 keeps every point), got {top_k}")
+
+
 def make_system(weights, threshold, nms_radius, top_k, random_desc_seed=None):
     if not (nms_radius >= 0.0):
         raise ValueError(f"--nms must be a number >= 0, got {nms_radius}")
-    if top_k < 0:
-        raise ValueError(f"--top-k must be >= 0 (0 keeps every point), got {top_k}")
+    check_top_k(top_k)
     model = load_model(weights)
     if model.desc_head is None:
         raise ConfigError(f"{weights}: weight file has no descriptor head")
@@ -145,11 +149,33 @@ def composite_images(count, shape, seed):
     ]
 
 
-def eval_images(cfg, prefix, seed):
-    source = cfg[f"{prefix}.images"]
+def pair_options(section, count, height, width, n_points):
+    """The settings of a warped-pair benchmark (eval-detector, eval-matching, exp-nh-sweep)."""
+    return [
+        Option(f"{section}.images", "path", "composites", "image dir or 'composites'"),
+        Option(f"{section}.count", "count", count),
+        Option(f"{section}.height", "int", height),
+        Option(f"{section}.width", "int", width),
+        Option(f"{section}.n_points", "int", n_points),
+        Option(f"{section}.eps", "float", 3.0),
+        Option(f"{section}.nms", "float", 4.0),
+        Option(f"{section}.threshold", "float", 0.015),
+        Option(f"{section}.out", "path", help="output CSV"),
+        Option(f"{section}.seed", "int", 0),
+    ]
+
+
+def pair_benchmark(cfg, section, preset="training"):
+    """(DetectorProtocol, warped pairs) of a pair_options section; settings are checked before any image is made."""
+    protocol = ev.DetectorProtocol(n_points=cfg[f"{section}.n_points"], eps=cfg[f"{section}.eps"],
+                                   nms_radius=cfg[f"{section}.nms"])
+    ranges = geo.ranges_preset(preset)
+    seed, count, source = cfg[f"{section}.seed"], cfg[f"{section}.count"], cfg[f"{section}.images"]
     if source == "composites":
-        return composite_images(cfg[f"{prefix}.count"], (cfg[f"{prefix}.height"], cfg[f"{prefix}.width"]), seed)
-    return [im.read_pgm(p) for p in list_images(source)][: cfg[f"{prefix}.count"]]
+        images = composite_images(count, (cfg[f"{section}.height"], cfg[f"{section}.width"]), seed)
+    else:
+        images = [im.read_pgm(p) for p in list_images(source)[:count]]
+    return protocol, ev.warped_pair_dataset(images, ranges, seed=seed)
 
 
 def parse_detectors(text, threshold):
@@ -161,11 +187,51 @@ def parse_detectors(text, threshold):
     return out
 
 
+def write_csv(path, header, rows):
+    """One header line, then the rows; values are formatted by the caller."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def training_options(section, batch):
+    """The settings both training commands take; train_and_save reads all but arch."""
+    return [
+        Option(f"{section}.out", "path", help="output .spw weight file"),
+        Option(f"{section}.iterations", "int", 2000),
+        Option(f"{section}.batch", "int", batch),
+        Option(f"{section}.arch", "str", "micro", "micro or full"),
+        Option(f"{section}.seed", "int", 0),
+        Option(f"{section}.lr", "float", 0.001),
+        Option(f"{section}.log", "path", ""),
+        Option(f"{section}.log_every", "int", 100),
+    ]
+
+
+def train_and_save(cfg, section, train, done, **extra):
+    """Run train(TrainConfig, LossLog) -> model, then write the weights, the loss CSV and the summary lines.
+
+    ``extra`` holds further TrainConfig fields; ``done`` is the first summary line, formatted with
+    ``iterations`` and the last logged loss ``final``.
+    """
+    train_cfg = TrainConfig(iterations=cfg[f"{section}.iterations"], batch_size=cfg[f"{section}.batch"],
+                            seed=cfg[f"{section}.seed"], lr=cfg[f"{section}.lr"],
+                            log_every=cfg[f"{section}.log_every"], **extra)
+    log = LossLog()
+    model = train(train_cfg, log)
+    save_weights(cfg[f"{section}.out"], model.store)
+    if cfg[f"{section}.log"]:
+        log.write_csv(cfg[f"{section}.log"])
+    print(done.format(iterations=train_cfg.iterations, final=log.rows[-1][1] if log.rows else float("nan")))
+    print(f"weights -> {cfg[f'{section}.out']}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_synth(cfg, args):
+def cmd_synth(cfg):
     check_image_size(cfg, "synth")
     out = cfg["synth.out"]
     os.makedirs(out, exist_ok=True)
@@ -195,50 +261,35 @@ SYNTH_SCHEMA = [
 ]
 
 
-def cmd_train_magicpoint(cfg, args):
+def cmd_train_magicpoint(cfg):
     check_image_size(cfg, "train_mp", CELL)
     stream_cfg = sd.StreamConfig(
         height=cfg["train_mp.height"], width=cfg["train_mp.width"],
         mix=parse_mix(cfg["train_mp.mix"]), noise=cfg["train_mp.noise"], seed=cfg["train_mp.seed"],
     )
-    train_cfg = TrainConfig(
-        iterations=cfg["train_mp.iterations"], batch_size=cfg["train_mp.batch"],
-        seed=cfg["train_mp.seed"], lr=cfg["train_mp.lr"],
-        log_every=cfg["train_mp.log_every"], checkpoint_every=cfg["train_mp.checkpoint_every"],
-    )
-    log = LossLog()
-    ckpt_dir = os.path.dirname(os.path.abspath(cfg["train_mp.out"])) or "."
-    os.makedirs(ckpt_dir, exist_ok=True)
-    model = train_magicpoint(
-        ARCH_PRESETS[cfg["train_mp.arch"]], stream_cfg, train_cfg, log=log,
-        checkpoint_dir=ckpt_dir,
-    )
-    save_weights(cfg["train_mp.out"], model.store)
-    if cfg["train_mp.log"]:
-        log.write_csv(cfg["train_mp.log"])
-    final = log.rows[-1][1] if log.rows else float("nan")
-    print(f"trained {cfg['train_mp.iterations']} iterations, final loss {final:.4f}")
-    print(f"weights -> {cfg['train_mp.out']}")
+    ckpt_dir = os.path.dirname(os.path.abspath(cfg["train_mp.out"]))
+
+    def train(train_cfg, log):
+        os.makedirs(ckpt_dir, exist_ok=True)
+        return train_magicpoint(ARCH_PRESETS[cfg["train_mp.arch"]], stream_cfg, train_cfg, log=log,
+                                checkpoint_dir=ckpt_dir)
+
+    train_and_save(cfg, "train_mp", train, "trained {iterations} iterations, final loss {final:.4f}",
+                   checkpoint_every=cfg["train_mp.checkpoint_every"])
 
 
 TRAIN_MP_SCHEMA = [
-    Option("train_mp.out", "path", help="output .spw weight file"),
-    Option("train_mp.iterations", "int", 2000),
-    Option("train_mp.batch", "int", 8),
-    Option("train_mp.arch", "str", "micro", "micro or full"),
+    *training_options("train_mp", batch=8),
     Option("train_mp.height", "int", 96),
     Option("train_mp.width", "int", 96),
     Option("train_mp.mix", "str", "uniform"),
     Option("train_mp.noise", "bool", True),
-    Option("train_mp.seed", "int", 0),
-    Option("train_mp.lr", "float", 0.001),
-    Option("train_mp.log", "path", ""),
-    Option("train_mp.log_every", "int", 100),
     Option("train_mp.checkpoint_every", "int", 0),
 ]
 
 
-def cmd_adapt_label(cfg, args):
+def cmd_adapt_label(cfg):
+    check_top_k(cfg["adapt.top_k"])
     images = [im.read_pgm(p) for p in list_images(cfg["adapt.images"])]
     detector = heatmap_detector(cfg["adapt.weights"])
     adapt_cfg = ad.AdaptConfig(
@@ -298,7 +349,7 @@ ADAPT_SCHEMA = [
 ]
 
 
-def cmd_train_superpoint(cfg, args):
+def cmd_train_superpoint(cfg):
     image_paths = list_images(cfg["train_sp.images"])
     label_dir = cfg["train_sp.labels"]
     dataset = []
@@ -316,43 +367,25 @@ def cmd_train_superpoint(cfg, args):
         lam=cfg["train_sp.lam"], lam_d=cfg["train_sp.lam_d"],
         m_p=cfg["train_sp.margin_pos"], m_n=cfg["train_sp.margin_neg"],
     )
-    log = LossLog()
-    model = train_superpoint(
-        base_state, arch, dataset,
-        TrainConfig(iterations=cfg["train_sp.iterations"], batch_size=cfg["train_sp.batch"],
-                    seed=cfg["train_sp.seed"], lr=cfg["train_sp.lr"],
-                    log_every=cfg["train_sp.log_every"]),
-        loss_cfg=loss_cfg, log=log,
-    )
-    save_weights(cfg["train_sp.out"], model.store)
-    if cfg["train_sp.log"]:
-        log.write_csv(cfg["train_sp.log"])
-    print(f"joint training done ({cfg['train_sp.iterations']} iterations)")
-    print(f"weights -> {cfg['train_sp.out']}")
+    train_and_save(cfg, "train_sp",
+                   lambda train_cfg, log: train_superpoint(base_state, arch, dataset, train_cfg,
+                                                           loss_cfg=loss_cfg, log=log),
+                   "joint training done ({iterations} iterations)")
 
 
 TRAIN_SP_SCHEMA = [
     Option("train_sp.images", "path", help="directory of .pgm images"),
     Option("train_sp.labels", "path", help="directory of matching .pts files"),
-    Option("train_sp.out", "path", help="output .spw weight file"),
+    *training_options("train_sp", batch=4),
     Option("train_sp.base", "path", "", "detector weights to start from"),
-    Option("train_sp.arch", "str", "micro"),
-    Option("train_sp.iterations", "int", 2000),
-    Option("train_sp.batch", "int", 4),
-    Option("train_sp.seed", "int", 0),
-    Option("train_sp.lr", "float", 0.001),
     Option("train_sp.lam", "float", 0.0001),
     Option("train_sp.lam_d", "float", 250.0),
     Option("train_sp.margin_pos", "float", 1.0),
     Option("train_sp.margin_neg", "float", 0.2),
-    Option("train_sp.log", "path", ""),
-    Option("train_sp.log_every", "int", 100),
 ]
 
 
-def cmd_detect(cfg, args):
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+def cmd_detect(cfg):
     inp = cfg["detect.input"]
     paths = list_images(inp) if os.path.isdir(inp) else [inp]
     protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
@@ -368,7 +401,7 @@ def cmd_detect(cfg, args):
         im.write_pgm(os.path.join(out, stem + "_overlay.pgm"), im.overlay_points(image, pts))
         return len(pts)
 
-    counts = parallel_map(work, paths, args.threads)
+    counts = parallel_map(work, paths, cfg["detect.threads"])
     print(f"detected points in {len(paths)} image(s): {counts}")
 
 
@@ -379,10 +412,11 @@ DETECT_SCHEMA = [
     Option("detect.threshold", "float", 0.015),
     Option("detect.nms", "float", 4.0),
     Option("detect.top_k", "int", 0),
+    Option("detect.threads", "count", 1, "worker threads for per-image work"),
 ]
 
 
-def cmd_match(cfg, args):
+def cmd_match(cfg):
     ransac = ev.RansacParams(threshold=cfg["match.ransac_threshold"], max_iters=cfg["match.ransac_iters"],
                              seed=cfg["match.seed"])
     system = make_system(cfg["match.weights"], cfg["match.threshold"], cfg["match.nms"],
@@ -395,12 +429,9 @@ def cmd_match(cfg, args):
     h_est = ev.estimate_homography(matches, ransac)
     out = cfg["match.out"]
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "matches.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["idx_a", "idx_b", "xa", "ya", "xb", "yb", "distance"])
-        for i, j, d in zip(matches.idx_a, matches.idx_b, matches.distance):
-            w.writerow([i, j, f"{pts_a[i, 0]:.3f}", f"{pts_a[i, 1]:.3f}",
-                        f"{pts_b[j, 0]:.3f}", f"{pts_b[j, 1]:.3f}", f"{d:.6f}"])
+    write_csv(os.path.join(out, "matches.csv"), ["idx_a", "idx_b", "xa", "ya", "xb", "yb", "distance"],
+              [(i, j, f"{pts_a[i, 0]:.3f}", f"{pts_a[i, 1]:.3f}", f"{pts_b[j, 0]:.3f}", f"{pts_b[j, 1]:.3f}",
+                f"{d:.6f}") for i, j, d in zip(matches.idx_a, matches.idx_b, matches.distance)])
     geo.save_homography(os.path.join(out, "estimated.htxt"), h_est)
     side = np.hstack([im.overlay_points(img_a, pts_a), im.overlay_points(img_b, pts_b)])
     im.write_pgm(os.path.join(out, "side_by_side.pgm"), side)
@@ -421,14 +452,10 @@ MATCH_SCHEMA = [
 ]
 
 
-def cmd_eval_detector(cfg, args):
-    seed = cfg["eval_det.seed"]
-    images = eval_images(cfg, "eval_det", seed)
-    pairs = ev.warped_pair_dataset(images, geo.ranges_preset(cfg["eval_det.preset"]), seed=seed)
+def cmd_eval_detector(cfg):
     detectors = parse_detectors(cfg["eval_det.detectors"], cfg["eval_det.threshold"])
-    protocol = ev.DetectorProtocol(n_points=cfg["eval_det.n_points"], eps=cfg["eval_det.eps"],
-                                   nms_radius=cfg["eval_det.nms"])
-    reports = ev.run_detector_benchmark(detectors, pairs, protocol, seed=seed)
+    protocol, pairs = pair_benchmark(cfg, "eval_det", cfg["eval_det.preset"])
+    reports = ev.run_detector_benchmark(detectors, pairs, protocol, seed=cfg["eval_det.seed"])
     ev.write_detector_report_csv(cfg["eval_det.out"], reports)
     print(ev.format_detector_table(reports))
     print(f"report -> {cfg['eval_det.out']}")
@@ -436,21 +463,12 @@ def cmd_eval_detector(cfg, args):
 
 EVAL_DET_SCHEMA = [
     Option("eval_det.detectors", "str", help="comma list: name[:weights], e.g. magic:w.spw,harris"),
-    Option("eval_det.images", "path", "composites", "image dir or 'composites'"),
-    Option("eval_det.count", "count", 50),
-    Option("eval_det.height", "int", 240),
-    Option("eval_det.width", "int", 320),
     Option("eval_det.preset", "str", "training", "homography preset for pairs"),
-    Option("eval_det.n_points", "int", 300),
-    Option("eval_det.eps", "float", 3.0),
-    Option("eval_det.nms", "float", 4.0),
-    Option("eval_det.threshold", "float", 0.015),
-    Option("eval_det.out", "path", help="output CSV"),
-    Option("eval_det.seed", "int", 0),
+    *pair_options("eval_det", count=50, height=240, width=320, n_points=300),
 ]
 
 
-def cmd_eval_matching(cfg, args):
+def cmd_eval_matching(cfg):
     seed = cfg["eval_match.seed"]
     try:
         eps_list = tuple(float(e) for e in cfg["eval_match.eps_list"].split(","))
@@ -464,8 +482,8 @@ def cmd_eval_matching(cfg, args):
         cfg["eval_match.n_points"],
         random_desc_seed=seed if cfg["eval_match.random_descriptors"] else None,
     )
-    images = eval_images(cfg, "eval_match", seed)
-    pairs = ev.warped_pair_dataset(images, geo.ranges_preset(cfg["eval_match.preset"]), seed=seed)
+    # the matching protocol and make_system above have checked the settings the detector protocol holds
+    _, pairs = pair_benchmark(cfg, "eval_match", cfg["eval_match.preset"])
     report = ev.run_matching_benchmark(system, pairs, protocol)
     ev.write_matching_report_csv(cfg["eval_match.out"], report)
     print(ev.format_matching_table(report))
@@ -474,19 +492,10 @@ def cmd_eval_matching(cfg, args):
 
 EVAL_MATCH_SCHEMA = [
     Option("eval_match.weights", "path", help="joint .spw weight file"),
-    Option("eval_match.images", "path", "composites"),
-    Option("eval_match.count", "count", 50),
-    Option("eval_match.height", "int", 96),
-    Option("eval_match.width", "int", 96),
     Option("eval_match.preset", "str", "training"),
-    Option("eval_match.n_points", "int", 1000),
-    Option("eval_match.eps", "float", 3.0),
     Option("eval_match.eps_list", "str", "1,3,5"),
-    Option("eval_match.nms", "float", 4.0),
-    Option("eval_match.threshold", "float", 0.015),
     Option("eval_match.random_descriptors", "bool", False),
-    Option("eval_match.out", "path", help="output CSV"),
-    Option("eval_match.seed", "int", 0),
+    *pair_options("eval_match", count=50, height=96, width=96, n_points=1000),
 ]
 
 
@@ -497,6 +506,7 @@ def _noise_experiment(cfg, column, conditions, corrupt):
     i, image)`` returns sample i's image under that condition.  Returns the
     number of rows written.
     """
+    eps = ev.DetectorProtocol(eps=cfg["exp_noise.eps"]).eps  # checked before any shape is rendered
     stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"], noise=False)
     seed = cfg["exp_noise.seed"]
     # sample_at draws sample i of a stream from the key (seed, i); the spawn key 0x5E makes these keys
@@ -509,16 +519,13 @@ def _noise_experiment(cfg, column, conditions, corrupt):
         corrupted = [sd.ShapeSample(corrupt(condition, i, s.image), s.points, s.category)
                      for i, s in enumerate(samples)]
         for name, det in detectors.items():
-            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, cfg["exp_noise.eps"])
+            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, eps)
             rows.append((label, name, f"{mapv:.6f}", f"{mle:.6f}"))
-    with open(cfg["exp_noise.out"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([column, "detector", "map", "mle"])
-        w.writerows(rows)
+    write_csv(cfg["exp_noise.out"], [column, "detector", "map", "mle"], rows)
     return len(rows)
 
 
-def cmd_exp_noise_sweep(cfg, args):
+def cmd_exp_noise_sweep(cfg):
     seed = cfg["exp_noise.seed"]
 
     def blend(s, i, image):
@@ -543,7 +550,7 @@ EXP_NOISE_SCHEMA = [
 ]
 
 
-def cmd_exp_noise_types(cfg, args):
+def cmd_exp_noise_types(cfg):
     seed = cfg["exp_noise.seed"]
 
     def add(kind, i, image):
@@ -554,7 +561,7 @@ def cmd_exp_noise_types(cfg, args):
     print(f"noise-type table ({n} rows) -> {cfg['exp_noise.out']}")
 
 
-def cmd_exp_square_sweep(cfg, args):
+def cmd_exp_square_sweep(cfg):
     model = load_model(cfg["exp_square.weights"])
     rows = []
     for width in range(3, 92, 2):
@@ -567,12 +574,8 @@ def cmd_exp_square_sweep(cfg, args):
             x0, y0 = int(np.floor(p[0])), int(np.floor(p[1]))
             return float(heat[y0 : y0 + 2, x0 : x0 + 2].max())
 
-        rows.append((width, peak(center), peak(tl)))
-    with open(cfg["exp_square.out"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["width", "center_confidence", "corner_confidence"])
-        for width, c, t in rows:
-            w.writerow([width, f"{c:.6f}", f"{t:.6f}"])
+        rows.append((width, f"{peak(center):.6f}", f"{peak(tl):.6f}"))
+    write_csv(cfg["exp_square.out"], ["width", "center_confidence", "corner_confidence"], rows)
     print(f"square sweep (widths 3..91) -> {cfg['exp_square.out']}")
 
 
@@ -582,7 +585,7 @@ EXP_SQUARE_SCHEMA = [
 ]
 
 
-def cmd_exp_nh_sweep(cfg, args):
+def cmd_exp_nh_sweep(cfg):
     seed = cfg["exp_nh.seed"]
     try:
         nh_list = [int(x) for x in cfg["exp_nh.nh_list"].split(",")]
@@ -590,10 +593,7 @@ def cmd_exp_nh_sweep(cfg, args):
         raise ConfigError(f"--nh-list (exp_nh.nh_list): expected comma-separated integers, "
                           f"got {cfg['exp_nh.nh_list']!r}") from None
     adapt_cfgs = [ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"]) for nh in nh_list]
-    protocol = ev.DetectorProtocol(n_points=cfg["exp_nh.n_points"], eps=cfg["exp_nh.eps"],
-                                   nms_radius=cfg["exp_nh.nms"])
-    images = eval_images(cfg, "exp_nh", seed)
-    pairs = ev.warped_pair_dataset(images, geo.ranges_preset("training"), seed=seed)
+    protocol, pairs = pair_benchmark(cfg, "exp_nh")
     base = heatmap_detector(cfg["exp_nh.weights"])
     rows = []
     for nh, adapt_cfg in zip(nh_list, adapt_cfgs):
@@ -602,30 +602,18 @@ def cmd_exp_nh_sweep(cfg, args):
             hm = ad.adapt(base, img, _cfg, seed=per_image)
             return cl.threshold_points(hm, -np.inf)
 
-        report = ev.run_detector_benchmark({"adapted": detector}, pairs, protocol, include_random=False)
-        rows.append((nh, report["adapted"].repeatability))
-        print(f"nh={nh}: repeatability {rows[-1][1]:.3f}")
-    with open(cfg["exp_nh.out"], "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["n_homographies", "repeatability"])
-        for nh, rep in rows:
-            w.writerow([nh, f"{rep:.6f}"])
+        repeatability = ev.run_detector_benchmark({"adapted": detector}, pairs, protocol,
+                                                  include_random=False)["adapted"].repeatability
+        print(f"nh={nh}: repeatability {repeatability:.3f}")
+        rows.append((nh, f"{repeatability:.6f}"))
+    write_csv(cfg["exp_nh.out"], ["n_homographies", "repeatability"], rows)
     print(f"warp-count sweep -> {cfg['exp_nh.out']}")
 
 
 EXP_NH_SCHEMA = [
     Option("exp_nh.weights", "path", help=".spw file or harris/shi"),
-    Option("exp_nh.images", "path", "composites"),
-    Option("exp_nh.count", "count", 20),
-    Option("exp_nh.height", "int", 240),
-    Option("exp_nh.width", "int", 320),
     Option("exp_nh.nh_list", "str", "1,10,100"),
-    Option("exp_nh.n_points", "int", 300),
-    Option("exp_nh.eps", "float", 3.0),
-    Option("exp_nh.nms", "float", 4.0),
-    Option("exp_nh.threshold", "float", 0.015),
-    Option("exp_nh.out", "path", help="output CSV"),
-    Option("exp_nh.seed", "int", 0),
+    *pair_options("exp_nh", count=20, height=240, width=320, n_points=300),
 ]
 
 
@@ -652,8 +640,6 @@ def build_parser():
     for name, aliases, help_text, schema, fn in COMMANDS:
         p = sub.add_parser(name, aliases=aliases, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
-        if fn is cmd_detect:
-            p.add_argument("--threads", type=int, default=1, help="worker threads for per-image work")
         for opt in schema:
             p.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help or opt.key)
         p.set_defaults(_schema=schema, _fn=fn)
@@ -671,7 +657,7 @@ def main(argv=None) -> int:
         sections = {opt.key.split(".", 1)[0] for opt in schema}
         cli_values = vars(args)
         cfg = resolve(schema, sections, file_pairs, base_dir, cli_values)
-        args._fn(cfg, args)
+        args._fn(cfg)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -228,11 +228,3 @@ def save_homography(path, h: np.ndarray) -> None:
     with open(path, "w") as f:
         for v in h.ravel():
             f.write(f"{v:.17g}\n")
-
-
-def load_homography(path) -> np.ndarray:
-    with open(path) as f:
-        vals = [float(tok) for tok in f.read().split()]
-    if len(vals) != 9:
-        raise ValueError(f"{path}: expected 9 values, found {len(vals)}")
-    return np.array(vals, dtype=np.float64).reshape(3, 3)

@@ -84,23 +84,31 @@ class _Canvas:
         # image pixel center (x, y) -> supersample coordinate 4x + 1.5
         return np.asarray(pts, dtype=np.float64) * SUPERSAMPLE + (SUPERSAMPLE - 1) / 2.0
 
+    def holds(self, pts, margin):
+        """Whether every (x, y) point lies at least margin pixels inside the image."""
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+        return bool(pts.min() >= margin and pts[:, 0].max() <= self.w - 1 - margin
+                    and pts[:, 1].max() <= self.h - 1 - margin)
+
+    def _box(self, lo, hi):
+        """Supersample pixel coordinates of the box from lo to hi (x, y) clamped to the canvas, and the
+        buffer view they cover; both are empty when the box misses the canvas."""
+        x0, y0 = max(0, int(np.floor(lo[0]))), max(0, int(np.floor(lo[1])))
+        x1 = max(x0 - 1, min(self.buf.shape[1] - 1, int(np.ceil(hi[0]))))
+        y1 = max(y0 - 1, min(self.buf.shape[0] - 1, int(np.ceil(hi[1]))))
+        xx, yy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        return xx, yy, self.buf[y0 : y1 + 1, x0 : x1 + 1]
+
     def fill_convex(self, pts_img, color):
         pts = self.to_ss(pts_img)
         if _signed_area(pts) < 0:
             pts = pts[::-1]
-        x0 = max(0, int(np.floor(pts[:, 0].min())))
-        x1 = min(self.buf.shape[1] - 1, int(np.ceil(pts[:, 0].max())))
-        y0 = max(0, int(np.floor(pts[:, 1].min())))
-        y1 = min(self.buf.shape[0] - 1, int(np.ceil(pts[:, 1].max())))
-        if x1 < x0 or y1 < y0:
-            return
-        xx, yy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        xx, yy, region = self._box(pts.min(axis=0), pts.max(axis=0))
         inside = np.ones(xx.shape, dtype=bool)
         for i in range(len(pts)):
             ax, ay = pts[i]
             bx, by = pts[(i + 1) % len(pts)]
             inside &= (bx - ax) * (yy - ay) - (by - ay) * (xx - ax) >= 0.0
-        region = self.buf[y0 : y1 + 1, x0 : x1 + 1]
         region[inside] = color
 
     def fill_ellipse(self, center, ax_a, ax_b, angle, color):
@@ -108,20 +116,13 @@ class _Canvas:
         a = ax_a * SUPERSAMPLE
         b = ax_b * SUPERSAMPLE
         r = max(a, b)
-        x0 = max(0, int(c[0] - r - 1))
-        x1 = min(self.buf.shape[1] - 1, int(c[0] + r + 1))
-        y0 = max(0, int(c[1] - r - 1))
-        y1 = min(self.buf.shape[0] - 1, int(c[1] + r + 1))
-        if x1 < x0 or y1 < y0:
-            return
-        xx, yy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        xx, yy, region = self._box(c - r - 1, c + r + 1)
         dx = xx - c[0]
         dy = yy - c[1]
         ca, sa = math.cos(angle), math.sin(angle)
         u = dx * ca + dy * sa
         v = -dx * sa + dy * ca
         inside = (u / a) ** 2 + (v / b) ** 2 <= 1.0
-        region = self.buf[y0 : y1 + 1, x0 : x1 + 1]
         region[inside] = color
 
     def fill_segment(self, p, q, thickness, color):
@@ -140,11 +141,7 @@ class _Canvas:
         h = _solve_h4(board, np.asarray(quad, dtype=np.float64))
         hinv = geo.invert(h)
         pts = self.to_ss(quad)
-        x0 = max(0, int(np.floor(pts[:, 0].min())))
-        x1 = min(self.buf.shape[1] - 1, int(np.ceil(pts[:, 0].max())))
-        y0 = max(0, int(np.floor(pts[:, 1].min())))
-        y1 = min(self.buf.shape[0] - 1, int(np.ceil(pts[:, 1].max())))
-        xx, yy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        xx, yy, region = self._box(pts.min(axis=0), pts.max(axis=0))
         # supersample coord -> image coord -> board coord
         ix = (xx - (SUPERSAMPLE - 1) / 2.0) / SUPERSAMPLE
         iy = (yy - (SUPERSAMPLE - 1) / 2.0) / SUPERSAMPLE
@@ -154,7 +151,6 @@ class _Canvas:
         v = (hinv[1, 0] * ix + hinv[1, 1] * iy + hinv[1, 2]) / w
         inside = (u >= 0) & (u < cols) & (v >= 0) & (v < rows)
         parity = (np.floor(u).astype(int) + np.floor(v).astype(int)) % 2
-        region = self.buf[y0 : y1 + 1, x0 : x1 + 1]
         region[inside & (parity == 0)] = colors[0]
         region[inside & (parity == 1)] = colors[1]
         return h
@@ -291,7 +287,7 @@ def _draw_line_segments(canvas, rng, bg_base):
         ang = rng.uniform(0, 2 * math.pi)
         length = rng.uniform(0.15, 0.5) * min(height, width)
         q = p + length * np.array([math.cos(ang), math.sin(ang)])
-        if not (4 <= q[0] <= width - 5 and 4 <= q[1] <= height - 5):
+        if not canvas.holds(q, 4):
             continue
         if any(_segments_cross(p, q, a, b) for a, b in segs):
             continue
@@ -350,23 +346,29 @@ def _draw_star(canvas, rng, bg_base):
     return make_points([center] + tips), {"spokes": n}
 
 
-def _draw_checkerboard(canvas, rng, bg_base):
-    height, width = canvas.h, canvas.w
-    rows = int(rng.integers(3, 6))
-    cols = int(rng.integers(3, 6))
-    cx, cy = rng.uniform(0.35, 0.65, 2) * [width, height]
-    half_w = rng.uniform(0.28, 0.42) * width
-    half_h = rng.uniform(0.28, 0.42) * height
-    base = np.array(
-        [[cx - half_w, cy - half_h], [cx + half_w, cy - half_h], [cx + half_w, cy + half_h], [cx - half_w, cy + half_h]]
-    )
-    quad = base + rng.uniform(-0.08, 0.08, (4, 2)) * [width, height]
-    quad = np.clip(quad, 4, [width - 5, height - 5])
+def _draw_board(canvas, rng, bg_base, rows, cols, center, half, jitter):
+    """Fill a jittered rows x cols board, its center and half sides drawn from (low, high) fractions of the
+    image size; returns its corner quad and board-to-image homography, or None if the quad is rejected."""
+    size = np.array([canvas.w, canvas.h])
+    cx, cy = rng.uniform(*center, 2) * size
+    half_w = rng.uniform(*half) * canvas.w
+    half_h = rng.uniform(*half) * canvas.h
+    base = [cx, cy] + np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]]) * [half_w, half_h]
+    quad = np.clip(base + rng.uniform(-jitter, jitter, (4, 2)) * size, 4, size - 5)
     if not (_is_convex(quad) and _vertex_angles_ok(quad)):
         return None
     c0 = _contrast_color(rng, [bg_base])
     c1 = _contrast_color(rng, [bg_base, c0], min_gap=0.2)
-    h = canvas.fill_projective_grid(quad, rows, cols, (c0, c1))
+    return quad, canvas.fill_projective_grid(quad, rows, cols, (c0, c1))
+
+
+def _draw_checkerboard(canvas, rng, bg_base):
+    rows = int(rng.integers(3, 6))
+    cols = int(rng.integers(3, 6))
+    board = _draw_board(canvas, rng, bg_base, rows, cols, (0.35, 0.65), (0.28, 0.42), 0.08)
+    if board is None:
+        return None
+    quad, h = board
     inner = [(u, v) for v in range(1, rows) for u in range(1, cols)]
     lattice = geo.apply(h, np.asarray(inner, dtype=np.float64)) if inner else np.zeros((0, 2))
     pts = np.vstack([quad, lattice])
@@ -390,7 +392,7 @@ def _draw_cube(canvas, rng, bg_base):
     v12, v13, v23 = origin + u[0] + u[1], origin + u[0] + u[2], origin + u[1] + u[2]
     v123 = origin + u.sum(axis=0)
     verts = np.stack([v1, v2, v3, v12, v13, v23, v123])
-    if verts.min() < 5 or verts[:, 0].max() > width - 6 or verts[:, 1].max() > height - 6:
+    if not canvas.holds(verts, 5):
         return None
     shades = [_contrast_color(rng, [bg_base])]
     shades.append(_contrast_color(rng, [bg_base, shades[0]], min_gap=0.12))
@@ -402,22 +404,11 @@ def _draw_cube(canvas, rng, bg_base):
 
 
 def _draw_stripes(canvas, rng, bg_base):
-    height, width = canvas.h, canvas.w
     k = int(rng.integers(4, 9))
-    cx, cy = rng.uniform(0.4, 0.6, 2) * [width, height]
-    half_w = rng.uniform(0.3, 0.44) * width
-    half_h = rng.uniform(0.3, 0.44) * height
-    base = np.array(
-        [[cx - half_w, cy - half_h], [cx + half_w, cy - half_h], [cx + half_w, cy + half_h], [cx - half_w, cy + half_h]]
-    )
-    quad = base + rng.uniform(-0.06, 0.06, (4, 2)) * [width, height]
-    quad = np.clip(quad, 4, [width - 5, height - 5])
-    if not (_is_convex(quad) and _vertex_angles_ok(quad)):
+    board = _draw_board(canvas, rng, bg_base, 1, k, (0.4, 0.6), (0.3, 0.44), 0.06)
+    if board is None:
         return None
-    c0 = _contrast_color(rng, [bg_base])
-    c1 = _contrast_color(rng, [bg_base, c0], min_gap=0.2)
-    canvas.fill_projective_grid(quad, 1, k, (c0, c1))
-    return make_points(quad), {"stripes": k}
+    return make_points(board[0]), {"stripes": k}
 
 
 def _draw_polygon_soup(canvas, rng, bg_base):
@@ -431,9 +422,7 @@ def _draw_polygon_soup(canvas, rng, bg_base):
         c = rng.uniform(0.2, 0.8, 2) * [width, height]
         r = rng.uniform(0.12, 0.3) * min(height, width)
         pts = _random_convex_polygon(rng, c, r, int(rng.integers(3, 7)))
-        if pts is None:
-            continue
-        if pts.min() < 5 or pts[:, 0].max() > width - 6 or pts[:, 1].max() > height - 6:
+        if pts is None or not canvas.holds(pts, 5):
             continue
         polys.append(pts)
     if len(polys) < 2:
@@ -619,7 +608,7 @@ def render_composite(size: tuple[int, int], rng: np.random.Generator) -> ShapeSa
             c = rng.uniform(0.12, 0.88, 2) * [width, height]
             r = rng.uniform(0.06, 0.16) * min(height, width)
             pts = _random_convex_polygon(rng, c, r, int(rng.integers(3, 7)))
-            if pts is None or pts.min() < 4 or pts[:, 0].max() > width - 5 or pts[:, 1].max() > height - 5:
+            if pts is None or not canvas.holds(pts, 4):
                 continue
             canvas.fill_convex(pts, color)
             entries.append((pts.copy(), pts))
@@ -627,7 +616,7 @@ def render_composite(size: tuple[int, int], rng: np.random.Generator) -> ShapeSa
             p = rng.uniform(5, [width - 6, height - 6])
             ang = rng.uniform(0, 2 * math.pi)
             q = p + rng.uniform(0.1, 0.3) * min(height, width) * np.array([math.cos(ang), math.sin(ang)])
-            if not (4 <= q[0] <= width - 5 and 4 <= q[1] <= height - 5):
+            if not canvas.holds(q, 4):
                 continue
             canvas.fill_segment(p, q, rng.uniform(1.0, 2.2), color)
             entries.append((np.stack([p, q]), None))
@@ -638,14 +627,12 @@ def render_composite(size: tuple[int, int], rng: np.random.Generator) -> ShapeSa
             if np.diff(np.append(angles, angles[0] + 2 * math.pi)).min() < math.radians(30):
                 continue
             tips = []
-            ok = True
             for a in angles:
                 tip = c + rng.uniform(0.05, 0.14) * min(height, width) * np.array([math.cos(a), math.sin(a)])
-                if not (4 <= tip[0] <= width - 5 and 4 <= tip[1] <= height - 5):
-                    ok = False
+                if not canvas.holds(tip, 4):
                     break
                 tips.append(tip)
-            if not ok:
+            if len(tips) < k:
                 continue
             for tip in tips:
                 canvas.fill_segment(c, tip, rng.uniform(1.0, 2.0), color)

@@ -1,14 +1,17 @@
 """Command-line behavior: exit codes, config handling, artifact reproducibility."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 
+from pointpipe import classical as cl
+from pointpipe import cli
 from pointpipe import evalsuite as ev
 from pointpipe import imaging as im
 from pointpipe import synthdata as sd
-from pointpipe.cli import main
+from pointpipe.cli import COMMANDS, main
 from pointpipe.config import ConfigError, Option, parse_config_file, resolve
 from pointpipe.neural import ARCH_PRESETS, PointNet, save_weights
 
@@ -248,8 +251,45 @@ class TestExitCodes:
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         assert run(["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o"),
                     "--threads", threads]) == 2
-        assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert f"config key detect.threads: must be >= 1, got {threads}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
+
+    def test_detect_threads_from_config_file(self, tmp_path, capsys, monkeypatch):
+        image = tmp_path / "img.pgm"
+        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        used = []
+        monkeypatch.setattr(cli, "parallel_map",
+                            lambda fn, items, threads: used.append(threads) or list(map(fn, items)))
+        config = tmp_path / "run.cfg"
+        argv = ["detect", "--config", str(config), "--input", str(image), "--weights", "harris",
+                "--out", str(tmp_path / "o")]
+        config.write_text("detect.threads = 2\n")
+        assert run(argv) == 0
+        assert run(argv + ["--threads", "3"]) == 0
+        assert used == [2, 3]
+        config.write_text("detect.threads = 0\n")
+        assert run(argv) == 2
+        assert "config key detect.threads: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exp-noise-sweep", "exp-noise-types"])
+    @pytest.mark.parametrize("eps, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_bad_noise_eps_exits_3_before_rendering(self, tmp_path, capsys, monkeypatch, command, eps, shown):
+        monkeypatch.setattr(sd, "sample_from", lambda *args: pytest.fail("a shape was rendered"))
+        assert run([command, "--detectors", "harris", "--count", "2", "--eps", eps,
+                    "--out", str(tmp_path / "r.csv")]) == 3
+        assert f"DetectorProtocol.eps must be a finite number > 0, got {shown}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_label_budget_exits_3_before_adapting(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cl, "harris", lambda image: pytest.fail("the detector ran"))
+        images = tmp_path / "images"
+        images.mkdir()
+        im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
+        out = tmp_path / "labels"
+        assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
+                    "--nh", "2", "--top-k", "-1"]) == 3
+        assert "--top-k must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--ransac-iters", "0"], "RansacParams.max_iters must be >= 1, got 0"),
@@ -320,6 +360,15 @@ class TestExitCodes:
     def test_bad_category_exits_2(self, tmp_path):
         assert run(["synth", "--out", str(tmp_path / "d"), "--count", "1",
                     "--mix", "dodecahedron:1"]) == 2
+
+
+def test_readme_command_table_names_every_subcommand():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        table = f.read().split("| command | what it does |", 1)[1].split("\n\n", 1)[0]
+    named = [name for row in table.splitlines() if row.startswith("| `")
+             for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    commands = [n for name, aliases, *_ in COMMANDS for n in [name, *aliases]]
+    assert sorted(named) == sorted(commands)
 
 
 class TestNoiseExperimentData:

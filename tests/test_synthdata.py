@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,29 @@ class TestComposite:
         b = sd.render_composite((96, 96), rng_for(40))
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.points, b.points)
+
+
+# sha256 of the renders in test_renders_keep_their_bytes, recorded before the renderer shared its
+# clamped-box, inside-margin and board helpers; every rng draw keeps its order, so the bytes stay
+RENDER_SHA256 = {
+    (96, 96): "e6feb919f632105ef40bd19e2f27dc19152f850c2ed20b422bbde16f4b1a93a9",
+    (64, 80): "1c0bda2f1f5b2f563bc764179cd1dff179ca9b17d124603195018b3d362c8058",
+    (240, 320): "42f33ded8b0f56be30cf1d754a376d2f2005a122f950e19b778027c2758a72a2",
+}
+
+
+@pytest.mark.parametrize("size", list(RENDER_SHA256))
+def test_renders_keep_their_bytes(size):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        stream = sd.StreamConfig(height=size[0], width=size[1], seed=seed)
+        samples = [sd.sample_at(stream, i) for i in range(4)]
+        samples += [sd.render_sample(cat, size, rng_for(seed)) for cat in sd.ShapeCategory]
+        samples.append(sd.render_composite(size, rng_for(seed)))
+        for sample in samples:
+            digest.update(sample.image.tobytes())
+            digest.update(sample.points.tobytes())
+    assert digest.hexdigest() == RENDER_SHA256[size]
 
 
 class TestPointsFile:
