@@ -185,17 +185,23 @@ def _coverage_raster(xy: np.ndarray, radius: float, r2: float):
     the test: with k = floor(radius) + 1, radius <= pred(k), so
     fl(radius**2) < k*k.
     """
-    if not math.isfinite(radius) or not np.all(np.abs(xy) < 2.0**26) or not np.array_equal(xy, np.floor(xy)):
+    if not math.isfinite(radius):
         return None
+    # one contiguous row per coordinate: reductions over axis 0 of the
+    # strided (N, 2) view cost several times the copy
+    coords = np.ascontiguousarray(xy.T)
+    for v in coords:
+        if not np.all(np.abs(v) < 2.0**26) or not np.array_equal(v, np.floor(v)):
+            return None
     pad = int(radius)
-    lo = xy.min(axis=0)
-    wdt, hgt = (int(v) + 1 + 2 * pad for v in xy.max(axis=0) - lo)
+    lo = [v.min() for v in coords]
+    wdt, hgt = (int(v.max() - m) + 1 + 2 * pad for v, m in zip(coords, lo))
     if wdt * hgt > _RASTER_DENSITY * len(xy):
         return None
     offsets = np.arange(-pad, pad + 1, dtype=np.float64)
     dy, dx = np.nonzero(offsets[None, :] * offsets[None, :] + offsets[:, None] * offsets[:, None] <= r2)
     disk = (dy - pad) * wdt + (dx - pad)
-    col, row = (xy - lo + pad).astype(np.int64).T
+    col, row = ((v - m + pad).astype(np.int64) for v, m in zip(coords, lo))
     return bytearray(wdt * hgt), row * wdt + col, disk
 
 

@@ -5,7 +5,9 @@ Files hold one ``section.key = value`` pair per line ('#' starts a comment;
 sections it declares: unknown keys inside a declared section are errors,
 foreign sections are ignored so one file can drive a whole pipeline.
 Every option is also exposed as a command-line flag, which wins over the
-file.  Paths from the file resolve relative to the file's directory.
+file.  Paths from the file resolve relative to the file's directory, except
+a path option's default, which is a word the command reads itself (such as
+``composites``) and keeps its meaning from a file as from a flag.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def _convert(opt: Option, raw: str, base_dir: str | None):
                 return False
             raise ValueError(raw)
         if opt.type == "path":
-            if base_dir is not None and raw and not os.path.isabs(raw):
+            if base_dir is not None and raw and raw != opt.default and not os.path.isabs(raw):
                 return os.path.normpath(os.path.join(base_dir, raw))
             return raw
         return raw

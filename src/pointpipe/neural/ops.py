@@ -9,10 +9,14 @@ statistics.  ``backward`` is valid only after a training forward; it
 accumulates parameter gradients into the store and returns the input
 gradient.  A 3x3 convolution, and its input gradient, is ``_correlate``:
 im2col and GEMM one tile of output rows at a time, so the patches of a tile
-are still in cache when the GEMM reads them; a training forward also keeps
-every tile's patches for the weight gradient.  A 1x1 convolution is one GEMM
-over the input itself.  Layers run in whatever float dtype the store was
-built with (float64 for gradient checking).
+are still in cache when the GEMM reads them.  A training forward runs the
+same code as evaluation and keeps only a reference to its input, which must
+not change before backward; backward rebuilds one image's patch matrix at a
+time from it for the weight gradient (``_weight_gradient``), an im2col copy
+with no extra GEMM, so the batch's patches, nine times the input, are never
+held from forward to backward.  A 1x1 convolution is one GEMM over the input
+itself.  Layers run in whatever float dtype the store was built with
+(float64 for gradient checking).
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _tile_bounds(h: int, w: int, nout: int, depth: int) -> list[int]:
     return bounds
 
 
-def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None = None) -> np.ndarray:
+def _correlate(x: np.ndarray, wmat: np.ndarray, k: int) -> np.ndarray:
     """'Same'-padded stride-1 correlation: (N, C, H, W) x (Cout, C*k*k) -> (N, Cout, H*W).
 
     Each image goes in tiles of whole output rows: the tile's input rows and
@@ -76,8 +80,7 @@ def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None 
     columns of the output.  No padded copy of the whole input is made.  Only
     the GEMM's pixel dimension is split, and ``_tile_bounds`` keeps every
     pixel in the BLAS code of one GEMM over the whole image, so the outputs
-    are that GEMM's bytes.  ``cols`` (N, C*k*k, H*W), if given, receives the
-    patches of every tile; otherwise one tile's buffer is reused.
+    are that GEMM's bytes.  One tile's patch buffer is reused for every tile.
     """
     n, c, h, w = x.shape
     pad = k // 2
@@ -86,10 +89,7 @@ def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None 
     y = np.empty((n, wmat.shape[0], h * w), dtype=np.result_type(wmat, x))
     # band row j holds input row r0 - pad + j; its pad columns are never written
     band = np.zeros((c, rows + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    if cols is None:
-        buf = np.empty((c, k, k, rows, w), dtype=x.dtype)
-    else:
-        patches = cols.reshape(n, c, k, k, h, w)
+    buf = np.empty((c, k, k, rows, w), dtype=x.dtype)
     for i in range(n):
         for r0, r1 in zip(bounds, bounds[1:]):
             lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
@@ -97,12 +97,41 @@ def _correlate(x: np.ndarray, wmat: np.ndarray, k: int, cols: np.ndarray | None 
             band[:, :top] = 0
             band[:, top:bottom, pad : pad + w] = x[i, :, lo:hi]
             band[:, bottom : r1 - r0 + 2 * pad] = 0
-            tile = buf[:, :, :, : r1 - r0] if cols is None else patches[i, :, :, :, r0:r1]
+            tile = buf[:, :, :, : r1 - r0]
             for ky in range(k):
                 for kx in range(k):
                     tile[:, ky, kx] = band[:, ky : ky + r1 - r0, kx : kx + w]
             np.matmul(wmat, tile.reshape(c * k * k, (r1 - r0) * w), out=y[i, :, r0 * w : r1 * w])
     return y
+
+
+def _weight_gradient(x: np.ndarray, dym: np.ndarray, k: int) -> np.ndarray:
+    """Sum over images of ``dym[i] @ patches_i.T``: (N, C, H, W), (N, Cout, H*W) -> (Cout, C*k*k).
+
+    Image i's 'same'-padded (C*k*k, H*W) patch matrix is rebuilt from ``x``
+    just before its GEMM, in one buffer for the whole batch; a tap's rows and
+    columns outside the image are zeroed once and never written.  A 1x1
+    kernel's patches are the input itself.  Each GEMM and the order of the
+    sum are those of a patch matrix kept for the whole batch, so ``dw`` has
+    its bytes.
+    """
+    n, c, h, w = x.shape
+    dw = np.zeros((dym.shape[1], c * k * k), dtype=x.dtype)
+    if k == 1:
+        for dyi, patches in zip(dym, x.reshape(n, c, h * w)):
+            dw += dyi @ patches.T
+        return dw
+    pad = k // 2
+    buf = np.zeros((c, k, k, h, w), dtype=x.dtype)
+    patches = buf.reshape(c * k * k, h * w)
+    for dyi, img in zip(dym, x):
+        for ky in range(k):
+            for kx in range(k):
+                oy, ox = ky - pad, kx - pad
+                buf[:, ky, kx, max(-oy, 0) : h - max(oy, 0), max(-ox, 0) : w - max(ox, 0)] = (
+                    img[:, max(oy, 0) : h + min(oy, 0), max(ox, 0) : w + min(ox, 0)])
+        dw += dyi @ patches.T
+    return dw
 
 
 class Conv2d:
@@ -127,35 +156,30 @@ class Conv2d:
         wmat = self.w.data.reshape(cout, cin * k * k)
         if k == 1:
             # a 1x1 kernel's patches are the input itself
-            cols = x.reshape(n, c, h * w)
-            y = np.matmul(wmat[None], cols)
+            y = np.matmul(wmat[None], x.reshape(n, c, h * w))
         else:
-            cols = np.empty((n, c * k * k, h * w), dtype=x.dtype) if train else None
-            y = _correlate(x, wmat, k, cols)
+            y = _correlate(x, wmat, k)
         y = y.reshape(n, cout, h, w)
         if train:
-            self._cache = (x.shape, cols)
+            self._cache = x
         if self.b is not None:
             y += self.b.data.reshape(1, cout, 1, 1)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x_shape, cols = self._cache
-        n = x_shape[0]
+        x = self._cache
+        n = x.shape[0]
         cout, cin, k, _ = self.w.data.shape
         dym = dy.reshape(n, cout, -1)
         if self.b is not None:
             self.b.grad += dy.sum(axis=(0, 2, 3))
-        dw = np.zeros((cout, cin * k * k), dtype=cols.dtype)
-        for i in range(n):
-            dw += dym[i] @ cols[i].T
-        self.w.grad += dw.reshape(self.w.data.shape)
+        self.w.grad += _weight_gradient(x, dym, k).reshape(self.w.data.shape)
         if k == 1:
-            return np.matmul(self.w.data.reshape(cout, cin).T[None], dym).reshape(x_shape)
+            return np.matmul(self.w.data.reshape(cout, cin).T[None], dym).reshape(x.shape)
         # dx is the 'same' correlation of dy with the transposed, 180-rotated kernel
         wt = self.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
         wtm = np.ascontiguousarray(wt).reshape(cin, cout * k * k)
-        return _correlate(dy, wtm, k).reshape(x_shape)
+        return _correlate(dy, wtm, k).reshape(x.shape)
 
 
 class ReLU:

@@ -339,7 +339,9 @@ def _draw_star(canvas, rng, bg_base):
         reach = rng.uniform(0.12, 0.35) * min(height, width)
         tip = center + reach * np.array([math.cos(a), math.sin(a)])
         tip = np.clip(tip, 5, [width - 6, height - 6])
-        if np.linalg.norm(tip - center) < 8:
+        # a spoke is at least 8 px long; on a short side under 64 px, whose
+        # reach can fall below 8 px, at least an eighth of that side
+        if np.linalg.norm(tip - center) < min(8, min(height, width) / 8):
             return None
         canvas.fill_segment(center, tip, rng.uniform(1.2, 2.2), color)
         tips.append(tip)

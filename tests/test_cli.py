@@ -44,6 +44,14 @@ class TestConfigMachinery:
         cfg = resolve(schema, {"s"}, pairs, base, {})
         assert cfg["s.out"] == str(tmp_path / "sub" / "dir")
 
+    def test_default_word_of_a_path_is_kept(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("s.images = composites\ns.other = composites\n")
+        pairs, base = parse_config_file(p)
+        schema = [Option("s.images", "path", "composites"), Option("s.other", "path")]
+        cfg = resolve(schema, {"s"}, pairs, base, {})
+        assert cfg == {"s.images": "composites", "s.other": str(tmp_path / "composites")}
+
     def test_unknown_key_in_declared_section_rejected(self):
         schema = [Option("s.known", "int", 1)]
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -351,6 +359,18 @@ class TestExitCodes:
         assert f"config key {section[command[0]]}.count: must be >= 1, got {value}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["a.pgm"]
 
+    @pytest.mark.parametrize("command, section", [
+        (["eval-detector", "--detectors", "harris"], "eval_det"),
+        (["exp-nh-sweep", "--weights", "harris", "--nh-list", "1,2"], "exp_nh"),
+    ])
+    def test_composites_from_config_file_equal_the_flag(self, tmp_path, command, section):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{section}.images = composites\n")
+        flags = ["--count", "1", "--height", "48", "--width", "48", "--n-points", "20"]
+        assert run(command + flags + ["--config", str(config), "--out", str(tmp_path / "file.csv")]) == 0
+        assert run(command + flags + ["--images", "composites", "--out", str(tmp_path / "flag.csv")]) == 0
+        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -396,6 +416,12 @@ class TestSynthCommand:
         idx, category = manifest[0].split()
         assert idx == "000000"
         assert category in {c.value for c in sd.ShapeCategory}
+
+    def test_smallest_size_renders_every_category(self, tmp_path):
+        out = tmp_path / "data"
+        assert run(["synth", "--out", str(out), "--count", "30", "--height", "32", "--width", "48"]) == 0
+        categories = {line.split()[1] for line in (out / "manifest.txt").read_text().splitlines()}
+        assert "star" in categories and len(os.listdir(out)) == 61
 
     def test_synth_dump_alias(self, tmp_path):
         out = tmp_path / "data"

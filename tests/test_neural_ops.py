@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pointpipe.neural import ARCH_PRESETS, PointNet
 from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, OddDimension, ReLU, ShapeMismatch, _tile_bounds
 from pointpipe.neural.store import ParamStore
 
@@ -110,6 +111,25 @@ def whole_image_im2col(x):
     return cols.reshape(n, c * 9, h * w)
 
 
+def held_arrays(layer):
+    """The arrays a layer's attributes hold, directly or in a tuple."""
+    for value in vars(layer).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
+def traced(fn):
+    """(fn(), peak, current) bytes that tracemalloc saw allocated while fn ran and still held after it."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, current
+
+
 def assert_same_bytes(got, want, what):
     assert got.shape == want.shape and got.dtype == want.dtype, what
     if got.tobytes() != want.tobytes():
@@ -154,7 +174,7 @@ class TestTiledConvolution:
 
         assert_same_bytes(conv.forward(x, train=False), want, "eval forward")
         assert_same_bytes(conv.forward(x, train=True), want, "train forward")
-        assert_same_bytes(conv._cache[1], cols, "kept patches")
+        assert all(a.size < cols.size for a in held_arrays(conv)), "a training forward keeps no patch matrix"
         conv.w.grad = np.zeros_like(conv.w.data)
         conv.b.grad = np.zeros_like(conv.b.data)
         dx = conv.backward(dy)
@@ -183,26 +203,92 @@ class TestTiledConvolution:
         conv = Conv2d(ParamStore(np.float32), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
         x = np.random.default_rng(1).random((1, 9, 240, 320), dtype=np.float32)
         patch_matrix = 9 * 9 * 240 * 320 * 4
-        tracemalloc.start()
-        try:
-            conv.forward(x, train=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(lambda: conv.forward(x, train=False))
         assert peak < patch_matrix / 2, (peak, patch_matrix)
+
+    def test_training_forward_allocates_and_keeps_under_half_the_patch_matrix(self):
+        conv = Conv2d(ParamStore(np.float32), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
+        x = np.random.default_rng(1).random((1, 9, 240, 320), dtype=np.float32)
+        patch_matrix = 9 * 9 * 240 * 320 * 4
+        y, peak, current = traced(lambda: conv.forward(x, train=True))
+        assert peak < patch_matrix / 2, (peak, patch_matrix)
+        # what stays allocated besides the output: the input is kept, not copied
+        assert current - y.nbytes < x.nbytes / 2, (current, y.nbytes, x.nbytes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_allocates_one_image_patch_matrix_plus_dx(self, dtype):
+        conv = Conv2d(ParamStore(dtype), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
+        rng = np.random.default_rng(1)
+        x = rng.random((2, 9, 240, 320)).astype(dtype)
+        dy = rng.random((2, 9, 240, 320)).astype(dtype)
+        conv.forward(x, train=True)
+        conv.w.grad = np.zeros_like(conv.w.data)
+        image_patches = 9 * 9 * 240 * 320 * np.dtype(dtype).itemsize
+        dx, peak, _ = traced(lambda: conv.backward(dy))
+        # the batch's patch matrix alone would take 2 * image_patches
+        assert peak < image_patches + dx.nbytes, (peak, image_patches, dx.nbytes)
 
     def test_eval_forward_makes_no_padded_copy_of_the_input(self):
         conv = Conv2d(ParamStore(np.float32), "c", 9, 9, 3, np.random.default_rng(0), bias=False)
         x = np.random.default_rng(1).random((1, 9, 240, 320), dtype=np.float32)
-        tracemalloc.start()
-        try:
-            y = conv.forward(x, train=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        y, peak, _ = traced(lambda: conv.forward(x, train=False))
         # besides the output, one tile's patches (0.62 MB) and one padded band of rows (0.09 MB);
         # a padded copy of the whole input would add 2.8 MB (peak 6.2 MB instead of 3.5 MB)
         assert peak - y.nbytes < x.nbytes / 2, (peak, y.nbytes, x.nbytes)
+
+
+def whole_batch_patches_forward(conv_forward):
+    """Conv2d.forward that also keeps a copy of the batch's whole patch matrix, made as it runs."""
+
+    def forward(conv, x, train):
+        y = conv_forward(conv, x, train)
+        if train:
+            n, c, h, w = x.shape
+            conv._cols = whole_image_im2col(x) if conv.w.data.shape[2] == 3 else x.reshape(n, c, h * w).copy()
+        return y
+
+    return forward
+
+
+def whole_batch_patches_backward(conv, dy):
+    """Conv2d.backward from the kept whole patch matrix; dx from one whole-image GEMM."""
+    n, cout, h, w = dy.shape
+    cin, k = conv.w.data.shape[1:3]
+    dym = dy.reshape(n, cout, h * w)
+    if conv.b is not None:
+        conv.b.grad += dy.sum(axis=(0, 2, 3))
+    dw = np.zeros((cout, cin * k * k), dtype=conv._cols.dtype)
+    for i in range(n):
+        dw += dym[i] @ conv._cols[i].T
+    conv.w.grad += dw.reshape(conv.w.data.shape)
+    if k == 1:
+        return np.matmul(conv.w.data.reshape(cout, cin).T[None], dym).reshape(n, cin, h, w)
+    wt = np.ascontiguousarray(conv.w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]).reshape(cin, cout * 9)
+    return np.matmul(wt[None], whole_image_im2col(dy)).reshape(n, cin, h, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_network_step_gradients_equal_whole_batch_patches(dtype, monkeypatch):
+    """A micro joint step's gradients are bitwise those of patch matrices kept from forward to backward."""
+    rng = np.random.default_rng(4)
+    x = rng.random((3, 1, 32, 40))
+    dlogits = rng.normal(size=(3, 65, 4, 5)).astype(dtype)
+    ddesc = rng.normal(size=(3, 32, 4, 5)).astype(dtype)
+
+    def step():
+        model = PointNet(ARCH_PRESETS["micro"], with_descriptor=True, seed=2, dtype=dtype)
+        model.store.zero_grad()
+        model.forward(x, train=True)
+        dx = model.backward(dlogits, ddesc)
+        return dx, {name: p.grad for name, p in model.store.params.items()}
+
+    got_dx, got = step()
+    monkeypatch.setattr(Conv2d, "forward", whole_batch_patches_forward(Conv2d.forward))
+    monkeypatch.setattr(Conv2d, "backward", whole_batch_patches_backward)
+    want_dx, want = step()
+    assert_same_bytes(got_dx, want_dx, "input gradient")
+    for name in want:
+        assert_same_bytes(got[name], want[name], name)
 
 
 class TestMaxPool:

@@ -35,6 +35,12 @@ class TestRenderSample:
         s = sd.render_sample(sd.ShapeCategory.STAR, (96, 96), rng_for(5))
         assert len(s.points) == s.meta["spokes"] + 1
 
+    @pytest.mark.parametrize("size", [(32, 48), (32, 32), (48, 32), (40, 40)])
+    def test_star_renders_near_the_size_floor(self, size):
+        for seed in range(60):
+            s = sd.render_sample(sd.ShapeCategory.STAR, size, rng_for(seed))
+            assert len(s.points) == s.meta["spokes"] + 1
+
     def test_cube_has_seven_visible_corners(self):
         s = sd.render_sample(sd.ShapeCategory.CUBE, (96, 96), rng_for(6))
         assert len(s.points) == 7
