@@ -10,16 +10,14 @@ the uniform mean in the interior.
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import glob
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
+from .blas import ONE_BLAS_THREAD
 from .classical import heatmap_to_points
 from .synthdata import write_points
 
@@ -51,59 +49,6 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
         e[:, :-1] &= m[:, 1:]
         m = e
     return m
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS in numpy's wheel, or None where it is not found."""
-    wheel_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(wheel_libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_get_num_threads64_") and hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-class _OneBlasThread:
-    """While any caller is inside, numpy's OpenBLAS runs each call on one thread.
-
-    OpenBLAS spreads a GEMM over every core by default.  With two warps in
-    flight, both threads' GEMMs then compete for the same cores: on two
-    cores a micro ``exp-nh-sweep`` (10 images at 240x320, nh 1, 10, 100)
-    took 140 s, against 114 s for one sequential loop and 75 s with one BLAS
-    thread.  The thread count is process-wide, so callers are counted: the
-    first one in saves it and the last one out restores it.  Where the
-    library is not found this does nothing.  OpenBLAS splits a GEMM's rows
-    and columns over its threads, not its sums, and the outputs were the
-    same bytes either way on scipy-openblas 0.3.31.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._calls = False  # looked up on first use: (get, set) or None
-        self._users = 0
-        self._saved = 1
-
-    def __enter__(self):
-        with self._lock:
-            if self._calls is False:
-                self._calls = _openblas_threads()
-            if self._calls is not None and self._users == 0:
-                get, set_ = self._calls
-                self._saved = get()
-                set_(1)
-            self._users += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._users -= 1
-            if self._calls is not None and self._users == 0:
-                self._calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def _warped_response(detector, img: np.ndarray, ranges, seed: int, i: int):
@@ -145,14 +90,14 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
     detector is therefore called from two threads at once and must not keep
     per-call state; an eval-mode ``PointNet.heatmap``, ``harris`` and
     ``shi_tomasi`` all qualify.  Meanwhile numpy's OpenBLAS runs one thread
-    per call (see ``_OneBlasThread``).
+    per call (see ``blas.ONE_BLAS_THREAD``).
     """
     img = np.asarray(img, dtype=np.float32)
     n = cfg.n_homographies
     if n == 1:
         return np.asarray(detector(img), dtype=np.float32)
     ranges = geo.ranges_preset("adaptation")
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=1) as helper:
+    with ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=1) as helper:
         for i in range(0, n, 2):
             if i + 1 < n:
                 odd = helper.submit(contextvars.copy_context().run,

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import os
 import sys
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +26,7 @@ from . import evalsuite as ev
 from . import geometry as geo
 from . import imaging as im
 from . import synthdata as sd
+from .blas import ONE_BLAS_THREAD
 from .config import ConfigError, Option, parse_config_file, resolve
 from .neural import (
     ARCH_PRESETS,
@@ -45,9 +47,10 @@ CLASSICAL_NAMES = ("harris", "shi", "fast")
 
 
 def parallel_map(fn, items, threads):
+    """[fn(x) for x in items] on up to ``threads`` threads, numpy's OpenBLAS on one thread per call meanwhile."""
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
 
@@ -61,6 +64,11 @@ def load_model(path) -> PointNet:
     model = PointNet(arch, with_descriptor=with_desc, seed=0)
     model.store.load_state(state)
     return model
+
+
+def detector_option(key, help_text):
+    """A weight file or one of CLASSICAL_NAMES, which a config file keeps as written."""
+    return Option(key, "|".join(("path", *CLASSICAL_NAMES)), help=help_text)
 
 
 def candidate_detector(spec: str, threshold: float):
@@ -210,16 +218,24 @@ def training_options(section, batch):
 
 
 def train_and_save(cfg, section, train, done, **extra):
-    """Run train(TrainConfig, LossLog) -> model, then write the weights, the loss CSV and the summary lines.
+    """Run train(TrainConfig, LossLog, progress) -> model, then write the weights, the loss CSV and the summary lines.
 
     ``extra`` holds further TrainConfig fields; ``done`` is the first summary line, formatted with
-    ``iterations`` and the last logged loss ``final``.
+    ``iterations`` and the last logged loss ``final``.  Each logged step also prints a progress line
+    with the elapsed wall time to stderr, so stdout and the loss CSV stay byte-reproducible.
     """
     train_cfg = TrainConfig(iterations=cfg[f"{section}.iterations"], batch_size=cfg[f"{section}.batch"],
                             seed=cfg[f"{section}.seed"], lr=cfg[f"{section}.lr"],
                             log_every=cfg[f"{section}.log_every"], **extra)
     log = LossLog()
-    model = train(train_cfg, log)
+    start = time.perf_counter()
+
+    def progress(it, loss):
+        if train_cfg.logs(it):
+            print(f"iter {it}/{train_cfg.iterations} loss {loss:.4f} elapsed {time.perf_counter() - start:.1f} s",
+                  file=sys.stderr)
+
+    model = train(train_cfg, log, progress)
     save_weights(cfg[f"{section}.out"], model.store)
     if cfg[f"{section}.log"]:
         log.write_csv(cfg[f"{section}.log"])
@@ -269,10 +285,10 @@ def cmd_train_magicpoint(cfg):
     )
     ckpt_dir = os.path.dirname(os.path.abspath(cfg["train_mp.out"]))
 
-    def train(train_cfg, log):
+    def train(train_cfg, log, progress):
         os.makedirs(ckpt_dir, exist_ok=True)
         return train_magicpoint(ARCH_PRESETS[cfg["train_mp.arch"]], stream_cfg, train_cfg, log=log,
-                                checkpoint_dir=ckpt_dir)
+                                checkpoint_dir=ckpt_dir, progress=progress)
 
     train_and_save(cfg, "train_mp", train, "trained {iterations} iterations, final loss {final:.4f}",
                    checkpoint_every=cfg["train_mp.checkpoint_every"])
@@ -333,7 +349,7 @@ def cmd_adapt_label(cfg):
 
 ADAPT_SCHEMA = [
     Option("adapt.images", "path", help="directory of .pgm images to label"),
-    Option("adapt.weights", "path", help=".spw file or harris/shi"),
+    detector_option("adapt.weights", ".spw file or harris/shi"),
     Option("adapt.out", "path", help="label output directory"),
     Option("adapt.nh", "int", 100, "number of homographies (identity included)"),
     Option("adapt.rounds", "int", 1),
@@ -368,8 +384,8 @@ def cmd_train_superpoint(cfg):
         m_p=cfg["train_sp.margin_pos"], m_n=cfg["train_sp.margin_neg"],
     )
     train_and_save(cfg, "train_sp",
-                   lambda train_cfg, log: train_superpoint(base_state, arch, dataset, train_cfg,
-                                                           loss_cfg=loss_cfg, log=log),
+                   lambda train_cfg, log, progress: train_superpoint(base_state, arch, dataset, train_cfg,
+                                                                     loss_cfg=loss_cfg, log=log, progress=progress),
                    "joint training done ({iterations} iterations)")
 
 
@@ -407,7 +423,7 @@ def cmd_detect(cfg):
 
 DETECT_SCHEMA = [
     Option("detect.input", "path", help="image file or directory"),
-    Option("detect.weights", "path", help=".spw file or harris/shi/fast"),
+    detector_option("detect.weights", ".spw file or harris/shi/fast"),
     Option("detect.out", "path", help="output directory"),
     Option("detect.threshold", "float", 0.015),
     Option("detect.nms", "float", 4.0),
@@ -611,7 +627,7 @@ def cmd_exp_nh_sweep(cfg):
 
 
 EXP_NH_SCHEMA = [
-    Option("exp_nh.weights", "path", help=".spw file or harris/shi"),
+    detector_option("exp_nh.weights", ".spw file or harris/shi"),
     Option("exp_nh.nh_list", "str", "1,10,100"),
     *pair_options("exp_nh", count=20, height=240, width=320, n_points=300),
 ]

@@ -6,8 +6,9 @@ sections it declares: unknown keys inside a declared section are errors,
 foreign sections are ignored so one file can drive a whole pipeline.
 Every option is also exposed as a command-line flag, which wins over the
 file.  Paths from the file resolve relative to the file's directory, except
-a path option's default, which is a word the command reads itself (such as
-``composites``) and keeps its meaning from a file as from a flag.
+a path option's words: its default and the words its type names after
+``path|``.  The command reads these itself (``composites``, ``harris``), so
+they keep their meaning from a file as from a flag.
 """
 
 from __future__ import annotations
@@ -25,9 +26,14 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class Option:
     key: str  # full "section.key" name
-    type: str  # int | count (an int >= 1) | float | str | bool | path
+    type: str  # int | count (an int >= 1) | float | str | bool | path, or path|word|... (see words)
     default: object = REQUIRED
     help: str = ""
+
+    @property
+    def words(self) -> tuple:
+        """Values of a path option that name no file: its default and the words its type names."""
+        return (self.default, *self.type.split("|")[1:])
 
     @property
     def flag(self) -> str:
@@ -71,8 +77,8 @@ def _convert(opt: Option, raw: str, base_dir: str | None):
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if opt.type == "path":
-            if base_dir is not None and raw and raw != opt.default and not os.path.isabs(raw):
+        if opt.type.startswith("path"):
+            if base_dir is not None and raw and raw not in opt.words and not os.path.isabs(raw):
                 return os.path.normpath(os.path.join(base_dir, raw))
             return raw
         return raw

@@ -109,10 +109,11 @@ class PointNet:
         return logits, _forward(self.desc_head, feat, train)
 
     def backward(self, dlogits: np.ndarray, ddesc: np.ndarray | None = None) -> np.ndarray:
+        """Input gradient of the last training forward; every layer releases what that forward kept."""
+        if ddesc is not None and self.desc_head is None:  # before any layer releases its cache
+            raise ValueError("model has no descriptor head")
         dfeat = _backward(self.det_head, dlogits)
         if ddesc is not None:
-            if self.desc_head is None:
-                raise ValueError("model has no descriptor head")
             dfeat = dfeat + _backward(self.desc_head, ddesc)
         return _backward(self.encoder, dfeat)
 

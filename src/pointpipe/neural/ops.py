@@ -4,19 +4,24 @@ Every layer's ``forward(x, train)`` takes the mode explicitly.  With
 ``train`` false it is a pure function of its input and the parameters
 (BatchNorm normalizes with its running statistics): it writes no attribute,
 so one model can serve any number of threads.  With ``train`` true a layer
-keeps what its ``backward`` needs, and BatchNorm also updates its running
-statistics.  ``backward`` is valid only after a training forward; it
-accumulates parameter gradients into the store and returns the input
-gradient.  A 3x3 convolution, and its input gradient, is ``_correlate``:
-im2col and GEMM one tile of output rows at a time, so the patches of a tile
-are still in cache when the GEMM reads them.  A training forward runs the
-same code as evaluation and keeps only a reference to its input, which must
-not change before backward; backward rebuilds one image's patch matrix at a
-time from it for the weight gradient (``_weight_gradient``), an im2col copy
-with no extra GEMM, so the batch's patches, nine times the input, are never
-held from forward to backward.  A 1x1 convolution is one GEMM over the input
-itself.  Layers run in whatever float dtype the store was built with
-(float64 for gradient checking).
+keeps in ``_cache`` what its ``backward`` needs, and BatchNorm also updates
+its running statistics.  ``backward`` takes that cache and releases it
+before it computes, so each training forward serves exactly one backward
+(a second raises ``BackwardWithoutForward``), and after a network's
+backward no layer holds an activation: the next training forward starts
+beside the weights alone.  It accumulates parameter gradients into the
+store and returns the input gradient; BatchNorm's runs its arithmetic in
+place on one gradient array and one scratch array.  A 3x3 convolution,
+and its input gradient, is ``_correlate``: im2col and GEMM one tile of
+output rows at a time, so the patches of a tile are still in cache when the
+GEMM reads them.  A training forward runs the same code as evaluation and
+keeps only a reference to its input, which must not change before
+backward; backward rebuilds one image's patch matrix at a time from it for
+the weight gradient (``_weight_gradient``), an im2col copy with no extra
+GEMM, so the batch's patches, nine times the input, are never held from
+forward to backward.  A 1x1 convolution is one GEMM over the input itself.
+Layers run in whatever float dtype the store was built with (float64 for
+gradient checking).
 """
 
 from __future__ import annotations
@@ -34,6 +39,20 @@ class ShapeMismatch(ValueError):
 
 class OddDimension(ValueError):
     pass
+
+
+class BackwardWithoutForward(RuntimeError):
+    pass
+
+
+def _release(layer):
+    """What the layer's last training forward kept for backward; the layer keeps none of it."""
+    cache = getattr(layer, "_cache", None)
+    if cache is None:
+        raise BackwardWithoutForward(f"{type(layer).__name__}.backward needs a training forward first, "
+                                     f"and each training forward serves one backward")
+    layer._cache = None
+    return cache
 
 
 # output pixels per tile of whole rows: a tile's k*k*C patch rows are still
@@ -167,7 +186,7 @@ class Conv2d:
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._cache
+        x = _release(self)
         n = x.shape[0]
         cout, cin, k, _ = self.w.data.shape
         dym = dy.reshape(n, cout, -1)
@@ -185,7 +204,7 @@ class Conv2d:
 class ReLU:
     def forward(self, x, train: bool):
         if train:
-            self._mask = x > 0
+            self._cache = x > 0
         # bitwise np.where(x > 0, x, 0.0): fmax maps NaN and -inf to 0, and
         # adding +0.0 turns a -0.0 that fmax may return into +0.0
         y = np.fmax(x, 0.0)
@@ -193,7 +212,7 @@ class ReLU:
         return y
 
     def backward(self, dy):
-        return np.where(self._mask, dy, 0.0).astype(dy.dtype, copy=False)
+        return np.where(_release(self), dy, 0.0).astype(dy.dtype, copy=False)
 
 
 class MaxPool2x2:
@@ -213,11 +232,11 @@ class MaxPool2x2:
             f01 = (v01 == y) & ~f00
             f10 = (v10 == y) & ~(f00 | f01)
             f11 = ~(f00 | f01 | f10)
-            self._flags = (f00, f01, f10, f11)
+            self._cache = (f00, f01, f10, f11)
         return y
 
     def backward(self, dy):
-        f00, f01, f10, f11 = self._flags
+        f00, f01, f10, f11 = _release(self)
         n, c, hc, wc = f00.shape
         dx = np.zeros((n, c, 2 * hc, 2 * wc), dtype=dy.dtype)
         dx[:, :, 0::2, 0::2] = np.where(f00, dy, 0.0)
@@ -264,7 +283,7 @@ class BatchNorm2d:
         return self.gamma.data.reshape(1, c, 1, 1) * xhat + self.beta.data.reshape(1, c, 1, 1)
 
     def backward(self, dy):
-        xhat, inv_std = self._cache
+        xhat, inv_std = _release(self)
         c = dy.shape[1]
         m = dy.shape[0] * dy.shape[2] * dy.shape[3]
         self.beta.grad += dy.sum(axis=(0, 2, 3))
@@ -272,4 +291,12 @@ class BatchNorm2d:
         dxhat = dy * self.gamma.data.reshape(1, c, 1, 1)
         sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
         sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-        return (inv_std.reshape(1, c, 1, 1) / m) * (m * dxhat - sum_d - xhat * sum_dx)
+        # (inv_std / m) * (m * dxhat - sum_d - xhat * sum_dx), operation for operation, in place on dxhat and
+        # one scratch array; a product's operands may swap, as IEEE multiplication is commutative, so every
+        # value keeps its bytes
+        dxhat *= m
+        dxhat -= sum_d
+        scratch = xhat * sum_dx
+        dxhat -= scratch
+        dxhat *= inv_std.reshape(1, c, 1, 1) / m
+        return dxhat

@@ -49,6 +49,10 @@ class TrainConfig:
             if value < least:
                 raise ValueError(f"TrainConfig.{name} must be >= {least}, got {value}")
 
+    def logs(self, it: int) -> bool:
+        """Whether step ``it`` is on the log schedule: every ``log_every`` steps, and the last step."""
+        return it % self.log_every == 0 or it == self.iterations - 1
+
 
 def _rng(*key):
     return np.random.default_rng(np.random.SeedSequence(key))
@@ -89,7 +93,8 @@ def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkp
 
     ``grids`` is None for detector-only training; otherwise the images are b
     views followed by their b warped views and ``grids[j]`` links view j with
-    view b + j.  ``progress(it, loss)`` gets the per-view detector loss.
+    view b + j.  ``progress(it, loss)`` runs after every step with the loss the
+    log records as ``loss_total``.
     """
     written = finite_checkpoint = None
     for it in range(cfg.iterations):
@@ -119,11 +124,11 @@ def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkp
             if not np.isfinite(p.grad).all():
                 raise _diverged(f"gradient of {name!r} is not finite", it, finite_checkpoint)
         finite_checkpoint = written
-        if log is not None and (it % cfg.log_every == 0 or it == cfg.iterations - 1):
+        if log is not None and cfg.logs(it):
             log.add(it, total, det_total, desc_loss, _grad_norm(model.store))
         adam_step(model.store, cfg.lr, t=it + 1)
         if progress is not None:
-            progress(it, det_loss)
+            progress(it, total)
         if checkpoint_dir and cfg.checkpoint_every and (it + 1) % cfg.checkpoint_every == 0:
             written = f"{checkpoint_dir}/checkpoint_{it + 1:06d}.spw"
             save_weights(written, model.store)

@@ -11,6 +11,7 @@ from pointpipe import classical as cl
 from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
 from pointpipe import synthdata as sd
+from pointpipe.blas import openblas_threads
 from pointpipe.neural import ARCH_PRESETS, PointNet
 
 
@@ -197,7 +198,7 @@ class TestTwoThreads:
         assert got == want
 
     def test_blas_runs_one_thread_inside_and_is_restored(self, image):
-        calls = ad._openblas_threads()
+        calls = openblas_threads()
         if calls is None:
             pytest.skip("numpy's bundled OpenBLAS is not found here")
         get, set_ = calls

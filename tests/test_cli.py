@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from pointpipe import blas
 from pointpipe import classical as cl
 from pointpipe import cli
 from pointpipe import evalsuite as ev
@@ -20,11 +21,16 @@ def run(argv):
     return main(argv)
 
 
-def dir_bytes(path):
+def tree_bytes(path):
+    """{relative path: bytes} of every file under path, or {'': bytes} of a file."""
+    if os.path.isfile(path):
+        with open(path, "rb") as f:
+            return {"": f.read()}
     out = {}
-    for name in sorted(os.listdir(path)):
-        with open(os.path.join(path, name), "rb") as f:
-            out[name] = f.read()
+    for root, _, names in os.walk(path):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as f:
+                out[os.path.relpath(os.path.join(root, name), path)] = f.read()
     return out
 
 
@@ -51,6 +57,16 @@ class TestConfigMachinery:
         schema = [Option("s.images", "path", "composites"), Option("s.other", "path")]
         cfg = resolve(schema, {"s"}, pairs, base, {})
         assert cfg == {"s.images": "composites", "s.other": str(tmp_path / "composites")}
+
+    def test_words_a_path_type_names_are_kept(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("s.weights = shi\ns.spec = fast\ns.other = shi\ns.file = w.spw\n")
+        pairs, base = parse_config_file(p)
+        schema = [Option("s.weights", "path|harris|shi|fast"), Option("s.spec", "path|harris|shi|fast"),
+                  Option("s.other", "path"), Option("s.file", "path|harris|shi|fast")]
+        cfg = resolve(schema, {"s"}, pairs, base, {})
+        assert cfg == {"s.weights": "shi", "s.spec": "fast", "s.other": str(tmp_path / "shi"),
+                       "s.file": str(tmp_path / "w.spw")}
 
     def test_unknown_key_in_declared_section_rejected(self):
         schema = [Option("s.known", "int", 1)]
@@ -371,6 +387,54 @@ class TestExitCodes:
         assert run(command + flags + ["--images", "composites", "--out", str(tmp_path / "flag.csv")]) == 0
         assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, section, word", [
+        (["detect", "--input", "{tmp}/images"], "detect", "harris"),
+        (["detect", "--input", "{tmp}/images/a.pgm"], "detect", "fast"),
+        (["adapt-label", "--images", "{tmp}/images", "--nh", "2"], "adapt", "shi"),
+        (["exp-nh-sweep", "--nh-list", "1,2", "--count", "1", "--height", "48", "--width", "48",
+          "--n-points", "20"], "exp_nh", "harris"),
+    ])
+    def test_detector_words_from_config_file_equal_the_flag(self, tmp_path, command, section, word):
+        (tmp_path / "images").mkdir()
+        for name, seed in (("a", 0), ("b", 1)):
+            image = sd.render_composite((48, 48), np.random.default_rng(seed)).image
+            im.write_pgm(tmp_path / "images" / f"{name}.pgm", image)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{section}.weights = {word}\n")
+        command = [arg.format(tmp=tmp_path) for arg in command]
+        assert run(command + ["--config", str(config), "--out", str(tmp_path / "file")]) == 0
+        assert run(command + ["--weights", word, "--out", str(tmp_path / "flag")]) == 0
+        assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "flag")
+
+    def test_fast_as_a_dense_map_from_config_file_exits_2_as_from_the_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("exp_nh.weights = fast\n")
+        command = ["exp-nh-sweep", "--count", "1", "--height", "48", "--width", "48", "--out", str(tmp_path / "r.csv")]
+        message = "config error: fast produces points, not a dense map; use harris/shi or weights"
+        assert run(command + ["--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+        assert run(command + ["--weights", "fast"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_detect_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        (tmp_path / "images").mkdir()
+        for i in range(3):
+            image = sd.render_composite((48, 48), np.random.default_rng(i)).image
+            im.write_pgm(tmp_path / "images" / f"{i}.pgm", image)
+        blas_threads = {"count": 8}
+        monkeypatch.setattr(blas.ONE_BLAS_THREAD, "_calls",
+                            (lambda: blas_threads["count"], lambda count: blas_threads.update(count=count)))
+        seen = []
+        harris = cl.harris
+        monkeypatch.setattr(cl, "harris", lambda image: seen.append(blas_threads["count"]) or harris(image))
+        base = ["detect", "--input", str(tmp_path / "images"), "--weights", "harris"]
+        assert run(base + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        assert seen == [8] * 3 and blas_threads["count"] == 8
+        seen.clear()
+        assert run(base + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+        assert seen == [1] * 3 and blas_threads["count"] == 8
+        assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t2")
+
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -434,14 +498,14 @@ class TestSynthCommand:
         argv = ["synth", "--count", "6", "--seed", "11"]
         assert run(argv + ["--out", str(a)]) == 0
         assert run(argv + ["--out", str(b)]) == 0
-        assert dir_bytes(a) == dir_bytes(b)
+        assert tree_bytes(a) == tree_bytes(b)
         # the whole chain again in a fresh directory
         again = tmp_path / "chain"
         again.mkdir()
         run_chain(again)
         for name in ("mp.spw", "sp.spw", "mp_loss.csv", "sp_loss.csv", "report.csv"):
             assert (again / name).read_bytes() == (tiny_chain / name).read_bytes(), name
-        assert dir_bytes(again / "labels" / "round_1") == dir_bytes(tiny_chain / "labels" / "round_1")
+        assert tree_bytes(again / "labels" / "round_1") == tree_bytes(tiny_chain / "labels" / "round_1")
 
     def test_points_match_images(self, tmp_path):
         out = tmp_path / "data"
@@ -587,6 +651,25 @@ class TestPipelineComposition:
         text = out.read_text()
         assert "magic" in text and "harris" in text and "random" in text
 
+    @pytest.mark.parametrize("command, iterations, lines", [
+        (["train-magicpoint", "--height", "32", "--width", "32"], 5, 3),
+        (["train-superpoint", "--images", "{data}", "--labels", "{data}"], 6, 4),
+    ])
+    def test_training_progress_on_stderr(self, tiny_chain, tmp_path, capsys, command, iterations, lines):
+        command = [arg.format(data=tiny_chain / "data") for arg in command]
+        common = ["--iterations", str(iterations), "--log-every", "2", "--batch", "2", "--seed", "4"]
+        assert run(command + common + ["--out", str(tmp_path / "w.spw"), "--log", str(tmp_path / "log.csv")]) == 0
+        out, err = capsys.readouterr()
+        logged = [row.split(",") for row in (tmp_path / "log.csv").read_text().splitlines()[1:]]
+        assert len(logged) == lines
+        # one line per logged step: the CSV's 0-based iteration and loss_total, then the wall time
+        progress = [re.fullmatch(rf"iter (\d+)/{iterations} loss (\S+) elapsed \d+\.\d s", line)
+                    for line in err.splitlines()]
+        assert all(progress) and len(progress) == lines
+        assert [(m[1], m[2]) for m in progress] == [(row[0], f"{float(row[1]):.4f}") for row in logged]
+        # wall time never reaches stdout or the CSV
+        assert "elapsed" not in out and out.splitlines()[1] == f"weights -> {tmp_path / 'w.spw'}"
+
     def test_train_reproducible_weights(self, tiny_chain, tmp_path):
         out1 = tmp_path / "w1.spw"
         out2 = tmp_path / "w2.spw"
@@ -634,4 +717,4 @@ class TestPipelineComposition:
             base = ["detect", "--input", str(tiny_chain / "data"), "--weights", weights]
             assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
             assert run(base + ["--out", str(out4), "--threads", "4"]) == 0
-            assert dir_bytes(out1) == dir_bytes(out4), weights
+            assert tree_bytes(out1) == tree_bytes(out4), weights

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from pointpipe.neural import ARCH_PRESETS, PointNet
-from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, OddDimension, ReLU, ShapeMismatch, _tile_bounds
+from pointpipe.neural.ops import (
+    BackwardWithoutForward,
+    BatchNorm2d,
+    Conv2d,
+    MaxPool2x2,
+    OddDimension,
+    ReLU,
+    ShapeMismatch,
+    _tile_bounds,
+)
 from pointpipe.neural.store import ParamStore
 
 
@@ -291,6 +300,46 @@ def test_network_step_gradients_equal_whole_batch_patches(dtype, monkeypatch):
         assert_same_bytes(got[name], want[name], name)
 
 
+class TestBackwardReleasesItsCache:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_layer_holds_an_array_after_a_network_backward(self, dtype):
+        model = PointNet(ARCH_PRESETS["micro"], with_descriptor=True, seed=3, dtype=dtype)
+        rng = np.random.default_rng(12)
+        logits, desc = model.forward(rng.random((2, 1, 32, 40)), train=True)
+        layers = model.encoder + model.det_head + model.desc_head
+        assert all(list(held_arrays(layer)) for layer in layers), "every layer keeps what its backward needs"
+        model.store.zero_grad()
+        model.backward(rng.normal(size=logits.shape).astype(dtype), rng.normal(size=desc.shape).astype(dtype))
+        assert [layer for layer in layers if list(held_arrays(layer))] == []
+        with pytest.raises(BackwardWithoutForward, match=r"^Conv2d\.backward needs a training forward first, "
+                                                         r"and each training forward serves one backward$"):
+            model.backward(logits, desc)
+
+    @pytest.mark.parametrize("make", [
+        lambda store: Conv2d(store, "c", 2, 3, 3, np.random.default_rng(0)),
+        lambda store: Conv2d(store, "c", 2, 3, 1, np.random.default_rng(0)),
+        lambda store: BatchNorm2d(store, "bn", 2),
+        lambda store: ReLU(),
+        lambda store: MaxPool2x2(),
+    ])
+    def test_each_training_forward_serves_one_backward(self, make):
+        store = ParamStore(np.float64)
+        layer = make(store)
+        store.zero_grad()
+        x = np.random.default_rng(1).normal(size=(2, 2, 4, 6))
+        name = type(layer).__name__
+        with pytest.raises(BackwardWithoutForward, match=rf"^{name}\.backward needs a training forward first"):
+            layer.backward(np.ones_like(x))
+        layer.forward(x, train=False)
+        with pytest.raises(BackwardWithoutForward, match=rf"^{name}\.backward"):
+            layer.backward(np.ones_like(x))
+        y = layer.forward(x, train=True)
+        layer.backward(np.ones_like(y))
+        assert not list(held_arrays(layer))
+        with pytest.raises(BackwardWithoutForward, match=rf"^{name}\.backward"):
+            layer.backward(np.ones_like(y))
+
+
 class TestMaxPool:
     def test_constant(self):
         pool = MaxPool2x2()
@@ -421,3 +470,45 @@ class TestBatchNorm:
             assert rel_err(bn.beta.grad[c], g) < 1e-5
         bn.running_mean.data[:] = rm
         bn.running_var.data[:] = rv
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_in_place_equals_one_expression(self, dtype):
+        """The in-place backward gives bitwise the gradients of the out-of-place expression below, NaN and
+        infinite upstream gradients included."""
+        rng = np.random.default_rng(13)
+        store = ParamStore(dtype)
+        bn = BatchNorm2d(store, "bn", 4)
+        bn.gamma.data[:] = rng.normal(1.0, 0.5, 4)
+        x = rng.normal(0.5, 2.0, size=(3, 4, 16, 20)).astype(dtype)
+        finite = rng.normal(size=x.shape).astype(dtype)
+        with_nan = finite.copy()
+        with_nan[0, 1, 2, 3] = np.nan
+        with_nan[2, 3, ::5, ::7] = -np.nan
+        with_inf = finite.copy()
+        with_inf[1, 0, 4, 4] = np.inf
+        with_inf[1, 2, 0, 0] = -np.inf
+        with_inf[2, 2, 5, 6] = np.inf  # channel 2 holds both signs: its sums are NaN
+        mixed = with_nan.copy()
+        mixed[with_inf != finite] = with_inf[with_inf != finite]
+        for dy in (finite, with_nan, with_inf, mixed):
+            bn.forward(x, train=True)
+            xhat, inv_std = bn._cache
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = batchnorm_backward_expression(bn, dy, xhat, inv_std)
+                store.zero_grad()
+                got = (bn.backward(dy), bn.gamma.grad, bn.beta.grad)
+            for name, g, w in zip(("dx", "gamma.grad", "beta.grad"), got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+            assert np.isnan(got[0]).any() == (dy is not finite)
+
+
+def batchnorm_backward_expression(bn, dy, xhat, inv_std):
+    """(dx, dgamma, dbeta) of BatchNorm2d's training forward as one out-of-place expression."""
+    c = dy.shape[1]
+    m = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    dbeta = dy.sum(axis=(0, 2, 3))
+    dgamma = (dy * xhat).sum(axis=(0, 2, 3))
+    dxhat = dy * bn.gamma.data.reshape(1, c, 1, 1)
+    sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+    sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+    return (inv_std.reshape(1, c, 1, 1) / m) * (m * dxhat - sum_d - xhat * sum_dx), dgamma, dbeta

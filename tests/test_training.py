@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,30 @@ class TestTrainMagicpoint:
         first = np.mean([r[1] for r in log.rows[:5]])
         last = np.mean([r[1] for r in log.rows[-5:]])
         assert last < first
+
+
+    def test_second_step_peaks_no_higher_than_the_first_plus_adam_state(self):
+        """Backward releases every layer's cache, so step 2's forward starts beside the weights alone."""
+        stream = sd.StreamConfig(height=64, width=64, seed=9)
+
+        def peak(iterations):
+            tracemalloc.start()
+            try:
+                train_magicpoint(MICRO, stream, TrainConfig(iterations=iterations, batch_size=4, seed=9))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations of the renderer and numpy
+        one, two = peak(1), peak(2)
+        model = PointNet(MICRO, with_descriptor=False)
+        adam_state = 2 * sum(p.data.nbytes for p in model.store.params.values() if p.trainable)
+        logits = 4 * 65 * 8 * 8 * 4
+        # the slack: Adam's two moment arrays, made by step 1's update, step 1's logits and their gradient,
+        # which _fit holds until step 2's forward and loss replace them, and 64 KB of interpreter objects
+        # (0.59 MB in all; step 2 takes 0.48 MB more than step 1); step 1's activations, were they still
+        # held when step 2 runs, would add 0.9-1.2 MB
+        assert two <= one + adam_state + 2 * logits + 64 * 1024, (one, two, adam_state, logits)
 
 
 def labeled_dataset(n=3, seed=0):
