@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import geometry as geo
 from .network import CELL, DETECTOR_OUT
-from .ops import ShapeMismatch
+from .ops import ShapeMismatch, keep_where
 
 DUSTBIN = CELL * CELL  # label 64
 
@@ -130,7 +130,7 @@ def loss_descriptor(desc_a: np.ndarray, desc_b: np.ndarray, s: np.ndarray, cfg: 
         srow = s[start:stop]
         pos = (g < cfg.m_p) & (srow > 0)
         neg = (g > cfg.m_n) & (srow <= 0)
-        loss += cfg.lam_d * np.where(pos, cfg.m_p - g, 0.0).sum() + np.where(neg, g - cfg.m_n, 0.0).sum()
+        loss += cfg.lam_d * keep_where(pos, cfg.m_p - g).sum() + keep_where(neg, g - cfg.m_n).sum()
         dg = (neg.astype(g.dtype) - cfg.lam_d * pos.astype(g.dtype)) * inv_pairs
         dan[:, start:stop] += bn @ dg.T
         dbn += an[:, start:stop] @ dg

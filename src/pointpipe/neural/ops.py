@@ -11,17 +11,21 @@ before it computes, so each training forward serves exactly one backward
 backward no layer holds an activation: the next training forward starts
 beside the weights alone.  It accumulates parameter gradients into the
 store and returns the input gradient; BatchNorm's runs its arithmetic in
-place on one gradient array and one scratch array.  A 3x3 convolution,
+place on one gradient array and one scratch array, and its training forward
+takes the variance from the deviations it normalizes.  A 3x3 convolution,
 and its input gradient, is ``_correlate``: im2col and GEMM one tile of
 output rows at a time, so the patches of a tile are still in cache when the
-GEMM reads them.  A training forward runs the same code as evaluation and
+GEMM reads them; ``_patches`` copies all k*k taps of a tile at once from
+its flattened rows.  A training forward runs the same code as evaluation and
 keeps only a reference to its input, which must not change before
 backward; backward rebuilds one image's patch matrix at a time from it for
 the weight gradient (``_weight_gradient``), an im2col copy with no extra
 GEMM, so the batch's patches, nine times the input, are never held from
 forward to backward.  A 1x1 convolution is one GEMM over the input itself.
-Layers run in whatever float dtype the store was built with (float64 for
-gradient checking).
+ReLU's and MaxPool's backward, and the descriptor loss's hinge terms, zero
+their masked values through ``keep_where``, a branch-free bit select that is
+bitwise ``np.where(mask, values, 0.0)``.  Layers run in whatever float dtype
+the store was built with (float64 for gradient checking).
 """
 
 from __future__ import annotations
@@ -43,6 +47,21 @@ class OddDimension(ValueError):
 
 class BackwardWithoutForward(RuntimeError):
     pass
+
+
+def keep_where(mask, values: np.ndarray) -> np.ndarray:
+    """Bitwise ``np.where(mask, values, 0.0)`` for a float array and a bool mask of its shape, branch-free.
+
+    The mask is widened to all-ones or all-zeros words of the values'
+    width and ANDed with their bits: a kept value keeps every bit (NaN
+    payloads, -0.0, infinities and subnormals included) and a dropped one
+    becomes +0.0, which is what ``np.where`` writes, at one pass whatever
+    pattern the mask has.
+    """
+    bits = np.dtype(f"u{values.itemsize}")
+    out = np.multiply(mask, np.iinfo(bits).max, dtype=bits)
+    out &= values.view(bits)
+    return out.view(values.dtype)
 
 
 def _release(layer):
@@ -90,37 +109,57 @@ def _tile_bounds(h: int, w: int, nout: int, depth: int) -> list[int]:
     return bounds
 
 
+def _patches(img: np.ndarray, r0: int, r1: int, k: int, band: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The 'same'-padded (C*k*k, (r1-r0)*W) patch matrix of output rows r0:r1 of a (C, H, W) image, in buf.
+
+    The input rows r0 - pad to r1 + pad go into ``band`` flattened, zero where
+    they leave the image, after ``pad`` leading entries.  Tap (ky, kx) of
+    every output pixel of the tile is then ``band`` shifted by ky*W + kx, so
+    the k*k taps are one strided copy whose inner loop runs over the whole
+    tile.  Where a shift crosses a row end, the first or last pixels of each
+    row come from the neighbouring row; they lie outside the image and are
+    zeroed after the copy.  The patches hold the values the per-tap 2-D copies
+    of a zero-padded image give, so every GEMM over them keeps its bytes.
+    """
+    c, h, w = img.shape
+    pad = k // 2
+    lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
+    n = (r1 - r0) * w
+    start, stop = pad + (lo - r0 + pad) * w, pad + (hi - r0 + pad) * w
+    band[:, pad:start] = 0
+    band[:, start:stop] = img[:, lo:hi].reshape(c, -1)
+    band[:, stop : pad + n + 2 * pad * w] = 0
+    tile = buf[:, :, :, : r1 - r0]
+    cs, item = band.strides
+    taps = np.lib.stride_tricks.as_strided(band, (c, k, k, n), (cs, w * item, item, item), writeable=False)
+    np.copyto(tile.reshape(c, k, k, n), taps)
+    for kx in range(pad):
+        tile[:, :, kx, :, : pad - kx] = 0
+        tile[:, :, k - 1 - kx, :, w - (pad - kx) :] = 0
+    return tile.reshape(c * k * k, n)
+
+
 def _correlate(x: np.ndarray, wmat: np.ndarray, k: int) -> np.ndarray:
     """'Same'-padded stride-1 correlation: (N, C, H, W) x (Cout, C*k*k) -> (N, Cout, H*W).
 
-    Each image goes in tiles of whole output rows: the tile's input rows and
-    their halo are copied into a zero-padded band, the k*k taps of the band
-    into a patch buffer, and ``wmat @ patches`` is written into the tile's
-    columns of the output.  No padded copy of the whole input is made.  Only
-    the GEMM's pixel dimension is split, and ``_tile_bounds`` keeps every
-    pixel in the BLAS code of one GEMM over the whole image, so the outputs
-    are that GEMM's bytes.  One tile's patch buffer is reused for every tile.
+    Each image goes in tiles of whole output rows: ``_patches`` builds a
+    tile's patch matrix from its input rows and their halo, and
+    ``wmat @ patches`` is written into the tile's columns of the output.  No
+    padded copy of the whole input is made.  Only the GEMM's pixel dimension
+    is split, and ``_tile_bounds`` keeps every pixel in the BLAS code of one
+    GEMM over the whole image, so the outputs are that GEMM's bytes.  One
+    tile's band and patch buffer are reused for every tile.
     """
     n, c, h, w = x.shape
     pad = k // 2
     bounds = _tile_bounds(h, w, *wmat.shape)
     rows = max(np.diff(bounds))
     y = np.empty((n, wmat.shape[0], h * w), dtype=np.result_type(wmat, x))
-    # band row j holds input row r0 - pad + j; its pad columns are never written
-    band = np.zeros((c, rows + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    band = np.zeros((c, (rows + 2 * pad) * w + 2 * pad), dtype=x.dtype)
     buf = np.empty((c, k, k, rows, w), dtype=x.dtype)
     for i in range(n):
         for r0, r1 in zip(bounds, bounds[1:]):
-            lo, hi = max(r0 - pad, 0), min(r1 + pad, h)
-            top, bottom = lo - (r0 - pad), hi - (r0 - pad)
-            band[:, :top] = 0
-            band[:, top:bottom, pad : pad + w] = x[i, :, lo:hi]
-            band[:, bottom : r1 - r0 + 2 * pad] = 0
-            tile = buf[:, :, :, : r1 - r0]
-            for ky in range(k):
-                for kx in range(k):
-                    tile[:, ky, kx] = band[:, ky : ky + r1 - r0, kx : kx + w]
-            np.matmul(wmat, tile.reshape(c * k * k, (r1 - r0) * w), out=y[i, :, r0 * w : r1 * w])
+            np.matmul(wmat, _patches(x[i], r0, r1, k, band, buf), out=y[i, :, r0 * w : r1 * w])
     return y
 
 
@@ -128,11 +167,10 @@ def _weight_gradient(x: np.ndarray, dym: np.ndarray, k: int) -> np.ndarray:
     """Sum over images of ``dym[i] @ patches_i.T``: (N, C, H, W), (N, Cout, H*W) -> (Cout, C*k*k).
 
     Image i's 'same'-padded (C*k*k, H*W) patch matrix is rebuilt from ``x``
-    just before its GEMM, in one buffer for the whole batch; a tap's rows and
-    columns outside the image are zeroed once and never written.  A 1x1
-    kernel's patches are the input itself.  Each GEMM and the order of the
-    sum are those of a patch matrix kept for the whole batch, so ``dw`` has
-    its bytes.
+    by ``_patches`` just before its GEMM, in one buffer for the whole batch.
+    A 1x1 kernel's patches are the input itself.  Each GEMM and the order of
+    the sum are those of a patch matrix kept for the whole batch, so ``dw``
+    has its bytes.
     """
     n, c, h, w = x.shape
     dw = np.zeros((dym.shape[1], c * k * k), dtype=x.dtype)
@@ -141,15 +179,10 @@ def _weight_gradient(x: np.ndarray, dym: np.ndarray, k: int) -> np.ndarray:
             dw += dyi @ patches.T
         return dw
     pad = k // 2
-    buf = np.zeros((c, k, k, h, w), dtype=x.dtype)
-    patches = buf.reshape(c * k * k, h * w)
+    band = np.zeros((c, (h + 2 * pad) * w + 2 * pad), dtype=x.dtype)
+    buf = np.empty((c, k, k, h, w), dtype=x.dtype)
     for dyi, img in zip(dym, x):
-        for ky in range(k):
-            for kx in range(k):
-                oy, ox = ky - pad, kx - pad
-                buf[:, ky, kx, max(-oy, 0) : h - max(oy, 0), max(-ox, 0) : w - max(ox, 0)] = (
-                    img[:, max(oy, 0) : h + min(oy, 0), max(ox, 0) : w + min(ox, 0)])
-        dw += dyi @ patches.T
+        dw += dyi @ _patches(img, 0, h, k, band, buf).T
     return dw
 
 
@@ -212,7 +245,7 @@ class ReLU:
         return y
 
     def backward(self, dy):
-        return np.where(_release(self), dy, 0.0).astype(dy.dtype, copy=False)
+        return keep_where(_release(self), dy)
 
 
 class MaxPool2x2:
@@ -238,11 +271,12 @@ class MaxPool2x2:
     def backward(self, dy):
         f00, f01, f10, f11 = _release(self)
         n, c, hc, wc = f00.shape
-        dx = np.zeros((n, c, 2 * hc, 2 * wc), dtype=dy.dtype)
-        dx[:, :, 0::2, 0::2] = np.where(f00, dy, 0.0)
-        dx[:, :, 0::2, 1::2] = np.where(f01, dy, 0.0)
-        dx[:, :, 1::2, 0::2] = np.where(f10, dy, 0.0)
-        dx[:, :, 1::2, 1::2] = np.where(f11, dy, 0.0)
+        # the four phases cover every input pixel
+        dx = np.empty((n, c, 2 * hc, 2 * wc), dtype=dy.dtype)
+        dx[:, :, 0::2, 0::2] = keep_where(f00, dy)
+        dx[:, :, 0::2, 1::2] = keep_where(f01, dy)
+        dx[:, :, 1::2, 0::2] = keep_where(f10, dy)
+        dx[:, :, 1::2, 1::2] = keep_where(f11, dy)
         return dx
 
 
@@ -260,14 +294,16 @@ class BatchNorm2d:
 
     def forward(self, x, train: bool):
         c = x.shape[1]
+        mu, var = self.running_mean.data, self.running_var.data
         if train:
             mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-        else:
-            mu, var = self.running_mean.data, self.running_var.data
-        inv_std = 1.0 / np.sqrt(var + self.EPS)
         # the arithmetic runs in place on the x - mu temporary, never on x
         xhat = x - mu.reshape(1, c, 1, 1)
+        if train:
+            # x.var(axis=(0, 2, 3)) step for step: the mean of the squared deviations from x's mean,
+            # which are xhat before it is scaled
+            var = np.square(xhat).mean(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat *= inv_std.reshape(1, c, 1, 1)
         if not train:
             xhat *= self.gamma.data.reshape(1, c, 1, 1)

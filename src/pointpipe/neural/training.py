@@ -86,6 +86,32 @@ def _diverged(what, it, checkpoint) -> TrainingDiverged:
     return TrainingDiverged(f"{what} at iteration {it}; {where}")
 
 
+def _forward_and_loss(model, batch, loss_cfg):
+    """One training forward and its losses: (detector total, descriptor loss, (dlogits, ddesc)).
+
+    The batch, the network's outputs and the per-pair descriptor gradients
+    are released on return; only the output gradients that backward needs
+    are handed back.
+    """
+    x, labels, grids = batch
+    logits, desc = model.forward(x, train=True)
+    det_loss, dlogits = loss_detector(logits, labels)
+    ddesc, desc_loss, det_total = None, 0.0, det_loss
+    if grids is not None:
+        b = len(grids)
+        ddesc = np.zeros_like(desc)
+        if loss_cfg.lam > 0.0:
+            for j in range(b):
+                ld, da, db = loss_descriptor(desc[j], desc[b + j], grids[j], loss_cfg)
+                desc_loss += ld / b
+                scale = 0.5 * loss_cfg.lam / b
+                ddesc[j] = scale * da
+                ddesc[b + j] = scale * db
+        # report the documented pair loss: both detector terms plus lam * Ld
+        det_total = 2.0 * det_loss
+    return det_total, desc_loss, (dlogits, ddesc)
+
+
 # the loop's finiteness checks report divergence; numpy's overflow warnings would only bury that message
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkpoint_dir=None, progress=None):
@@ -94,31 +120,22 @@ def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkp
     ``grids`` is None for detector-only training; otherwise the images are b
     views followed by their b warped views and ``grids[j]`` links view j with
     view b + j.  ``progress(it, loss)`` runs after every step with the loss the
-    log records as ``loss_total``.
+    log records as ``loss_total``.  No array of step k outlives its Adam
+    update, so step k + 1 builds its batch and runs its forward beside the
+    weights and Adam's moments alone; the last step's gradients stay readable.
     """
     written = finite_checkpoint = None
     for it in range(cfg.iterations):
-        x, labels, grids = batch(it)
-        logits, desc = model.forward(x, train=True)
-        det_loss, dlogits = loss_detector(logits, labels)
-        ddesc, desc_loss, det_total = None, 0.0, det_loss
-        if grids is not None:
-            b = len(grids)
-            ddesc = np.zeros_like(desc)
-            if loss_cfg.lam > 0.0:
-                for j in range(b):
-                    ld, da, db = loss_descriptor(desc[j], desc[b + j], grids[j], loss_cfg)
-                    desc_loss += ld / b
-                    scale = 0.5 * loss_cfg.lam / b
-                    ddesc[j] = scale * da
-                    ddesc[b + j] = scale * db
-            # report the documented pair loss: both detector terms plus lam * Ld
-            det_total = 2.0 * det_loss
+        # step k's parameter gradients were spent by its Adam update, and zero_grad makes new ones
+        for p in model.store.params.values():
+            p.grad = None
+        det_total, desc_loss, grads = _forward_and_loss(model, batch(it), loss_cfg)
         total = det_total + loss_cfg.lam * desc_loss
         if not math.isfinite(total):
             raise _diverged(f"loss is {total}", it, finite_checkpoint)
         model.store.zero_grad()
-        model.backward(dlogits, ddesc)
+        model.backward(*grads)
+        del grads
         # ReLU maps NaN activations to 0, so a NaN input or weight can leave the loss finite
         for name, p in model.store.params.items():
             if not np.isfinite(p.grad).all():

@@ -91,20 +91,21 @@ class _Canvas:
                     and pts[:, 1].max() <= self.h - 1 - margin)
 
     def _box(self, lo, hi):
-        """Supersample pixel coordinates of the box from lo to hi (x, y) clamped to the canvas, and the
-        buffer view they cover; both are empty when the box misses the canvas."""
+        """Supersample pixel coordinates of the box from lo to hi (x, y) clamped to the canvas, as a
+        (1, W) row of x and an (H, 1) column of y, and the buffer view they cover; all are empty when
+        the box misses the canvas.  Per-pixel expressions broadcast the row against the column, so
+        each pixel gets the scalar operations a meshgrid would give it."""
         x0, y0 = max(0, int(np.floor(lo[0]))), max(0, int(np.floor(lo[1])))
         x1 = max(x0 - 1, min(self.buf.shape[1] - 1, int(np.ceil(hi[0]))))
         y1 = max(y0 - 1, min(self.buf.shape[0] - 1, int(np.ceil(hi[1]))))
-        xx, yy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        return xx, yy, self.buf[y0 : y1 + 1, x0 : x1 + 1]
+        return np.arange(x0, x1 + 1)[None, :], np.arange(y0, y1 + 1)[:, None], self.buf[y0 : y1 + 1, x0 : x1 + 1]
 
     def fill_convex(self, pts_img, color):
         pts = self.to_ss(pts_img)
         if _signed_area(pts) < 0:
             pts = pts[::-1]
         xx, yy, region = self._box(pts.min(axis=0), pts.max(axis=0))
-        inside = np.ones(xx.shape, dtype=bool)
+        inside = np.ones(region.shape, dtype=bool)
         for i in range(len(pts)):
             ax, ay = pts[i]
             bx, by = pts[(i + 1) % len(pts)]
@@ -150,14 +151,30 @@ class _Canvas:
         u = (hinv[0, 0] * ix + hinv[0, 1] * iy + hinv[0, 2]) / w
         v = (hinv[1, 0] * ix + hinv[1, 1] * iy + hinv[1, 2]) / w
         inside = (u >= 0) & (u < cols) & (v >= 0) & (v < rows)
-        parity = (np.floor(u).astype(int) + np.floor(v).astype(int)) % 2
+        # & 1 is % 2 for every int64, negative ones included, without a division
+        parity = (np.floor(u).astype(int) + np.floor(v).astype(int)) & 1
         region[inside & (parity == 0)] = colors[0]
         region[inside & (parity == 1)] = colors[1]
         return h
 
     def downsample(self) -> np.ndarray:
-        s = SUPERSAMPLE
-        out = self.buf.reshape(self.h, s, self.w, s).mean(axis=(1, 3))
+        """Box-filtered image: bitwise ``buf.reshape(h, 4, w, 4).mean(axis=(1, 3))`` as numpy 2.4.6 sums it.
+
+        That reduction adds each row of four left to right onto +0.0, then the
+        four row sums top to bottom, then divides by 16, all in float32.  The
+        operand order is its too (the running sum first within a row, the new
+        row sum first across rows), so a block holding NaNs of different signs
+        or payloads returns the same one.  The order was measured, not
+        documented by numpy; ``test_downsample_equals_block_mean`` checks it.
+        """
+        blocks = self.buf.reshape(self.h, SUPERSAMPLE, self.w, SUPERSAMPLE)
+        out = None
+        for k in range(SUPERSAMPLE):
+            row = blocks[:, k, :, 0] + 0.0
+            for j in range(1, SUPERSAMPLE):
+                row += blocks[:, k, :, j]
+            out = row if out is None else np.add(row, out, out=row)
+        out /= SUPERSAMPLE * SUPERSAMPLE
         return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
@@ -240,16 +257,17 @@ def _background(rng, height, width):
     base = rng.uniform(0.2, 0.8)
     theta = rng.uniform(0, 2 * math.pi)
     amp = rng.uniform(0.0, 0.12)
-    xx, yy = np.meshgrid(
-        np.linspace(0, 1, width, dtype=np.float32), np.linspace(0, 1, height, dtype=np.float32)
-    )
+    # a (1, W) row against an (H, 1) column: each pixel gets a meshgrid's expression
+    xx = np.linspace(0, 1, width, dtype=np.float32)[None, :]
+    yy = np.linspace(0, 1, height, dtype=np.float32)[:, None]
     ramp = (xx * math.cos(theta) + yy * math.sin(theta)) * amp
     cx, cy = rng.uniform(0.2, 0.8, 2)
     blob = rng.uniform(-0.1, 0.1) * np.exp(
         -(((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * rng.uniform(0.05, 0.3) ** 2))
     )
     img = np.clip(base + ramp + blob, 0.02, 0.98).astype(np.float32)
-    return np.repeat(np.repeat(img, SUPERSAMPLE, axis=0), SUPERSAMPLE, axis=1), base
+    # widen the rows first, so the second repeat copies whole rows
+    return np.repeat(np.repeat(img, SUPERSAMPLE, axis=1), SUPERSAMPLE, axis=0), base
 
 
 def _contrast_color(rng, avoid, min_gap=0.25):

@@ -1,6 +1,18 @@
 import threading
 
+import numpy as np
 import pytest
+
+from pointpipe.blas import openblas_threads
+
+
+def pytest_report_header(config):
+    """numpy's build: the tiled-convolution and downsample tests pin sums that these builds order."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    calls = openblas_threads()
+    threads = calls[0]() if calls is not None else "not found"
+    return [f"numpy {np.__version__}; BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no OpenBLAS configuration')}); OpenBLAS threads: {threads}"]
 
 
 @pytest.fixture(autouse=True)

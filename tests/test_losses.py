@@ -162,6 +162,30 @@ class TestLossDescriptor:
                     total += max(0.0, dot - cfg.m_n)
         assert loss == pytest.approx(total / (m * m), rel=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block", [7, 4096])
+    def test_hinge_terms_equal_the_where_form(self, dtype, block):
+        rng = np.random.default_rng(6)
+        c, hc, wc = 8, 4, 5
+        m = hc * wc
+        a = rng.normal(size=(c, hc, wc)).astype(dtype)
+        b = (a + 0.3 * rng.normal(size=(c, hc, wc))).astype(dtype)  # near pairs, so both hinges act
+        s = (rng.random((m, m)) < 0.3).astype(np.float32)
+        cfg = LossConfig()
+        loss, _, _ = loss_descriptor(a, b, s, cfg, block=block)
+        # the loss as computed before the hinges went through keep_where, operation for operation
+        an, bn = (x / np.maximum(np.sqrt((x * x).sum(axis=0, keepdims=True)), 1e-12)
+                  for x in (a.reshape(c, m), b.reshape(c, m)))
+        want = 0.0
+        for start in range(0, m, block):
+            g = an[:, start:start + block].T @ bn
+            srow = s[start:start + block]
+            pos = (g < cfg.m_p) & (srow > 0)
+            neg = (g > cfg.m_n) & (srow <= 0)
+            want += cfg.lam_d * np.where(pos, cfg.m_p - g, 0.0).sum() + np.where(neg, g - cfg.m_n, 0.0).sum()
+        want *= 1.0 / (m * m)
+        assert loss == float(want)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         c, hc, wc = 4, 2, 3

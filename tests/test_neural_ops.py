@@ -17,6 +17,7 @@ from pointpipe.neural.ops import (
     ReLU,
     ShapeMismatch,
     _tile_bounds,
+    keep_where,
 )
 from pointpipe.neural.store import ParamStore
 
@@ -170,6 +171,8 @@ class TestTiledConvolution:
         (1, 16, 256, 21, 100),  # a partial vector after a short last tile: the whole image
         (1, 1, 32, 152, 66),  # one input channel: dx is a one-row GEMM, the whole image
         (1, 52, 2, 4, 1040),  # two outputs, K = 468: rows grown past the small-GEMM size
+        (2, 3, 5, 1, 4),  # one column: every left and right tap wraps across a row end and is zeroed
+        (2, 3, 1, 7, 4),  # one row: every upper and lower tap reads the band's zero rows
     ])
     def test_equals_whole_image_gemm(self, n, cin, cout, h, w, dtype):
         rng = np.random.default_rng(h * w + cin)
@@ -340,6 +343,37 @@ class TestBackwardReleasesItsCache:
             layer.backward(np.ones_like(y))
 
 
+def special_values(dtype):
+    """Every kind of float bit pattern: NaNs with payloads and both signs, signed zeros, infinities, subnormals."""
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    if bits == np.uint32:
+        nans = np.array([0x7FC00000, 0xFFC00000, 0x7FC0BEEF, 0xFFC12345, 0x7F800001], dtype=bits)
+    else:
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF,
+                         0xFFF8000012345678, 0x7FF0000000000001], dtype=bits)
+    tiny = np.finfo(dtype).smallest_subnormal
+    return np.concatenate([nans.view(dtype), np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 3 * tiny,
+                                                       np.finfo(dtype).tiny / 2, -1.5, 2.5], dtype=dtype)])
+
+
+class TestKeepWhere:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_where_bitwise(self, dtype):
+        rng = np.random.default_rng(4)
+        special = special_values(dtype)
+        values = np.tile(special, 9).reshape(3, 5, -1)
+        mixed = rng.normal(size=(2, 3, 8, 8)).astype(dtype)
+        mixed.ravel()[rng.integers(mixed.size, size=40)] = rng.choice(special, size=40)
+        cases = [(values, rng.random(values.shape) < 0.5), (mixed, rng.random(mixed.shape) < 0.3),
+                 (mixed[:, :, :, ::3], rng.random(mixed[:, :, :, ::3].shape) < 0.7)]
+        cases += [(x, np.full(x.shape, flag)) for x in (values, mixed) for flag in (True, False)]
+        cases += [(special[i:i + 1], np.array([flag])) for i in range(len(special)) for flag in (True, False)]
+        for x, mask in cases:
+            want = np.where(mask, x, 0.0).astype(x.dtype, copy=False)
+            got = keep_where(mask, x)
+            assert got.dtype == x.dtype and got.shape == x.shape and got.tobytes() == want.tobytes()
+
+
 class TestMaxPool:
     def test_constant(self):
         pool = MaxPool2x2()
@@ -361,6 +395,21 @@ class TestMaxPool:
         pool.forward(x, train=True)
         dx = pool.backward(np.array([[[[1.0]]]]))
         np.testing.assert_array_equal(dx, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_zeros_and_where(self, dtype):
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 3, size=(2, 3, 8, 10)).astype(dtype)  # many ties
+        dy = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+        dy.ravel()[::4] = rng.choice(special_values(dtype), size=dy.ravel()[::4].size)
+        pool = MaxPool2x2()
+        pool.forward(x, train=True)
+        flags = pool._cache
+        want = np.zeros(x.shape, dtype=dtype)
+        for (i, j), f in zip(((0, 0), (0, 1), (1, 0), (1, 1)), flags):
+            want[:, :, i::2, j::2] = np.where(f, dy, 0.0)
+        got = pool.backward(dy)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_gradient_matches_fd_away_from_ties(self):
         rng = np.random.default_rng(2)
@@ -443,6 +492,37 @@ class TestBatchNorm:
         want = bn.gamma.data.reshape(shape) * xhat + bn.beta.data.reshape(shape)
         got = bn.forward(x, train=False)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (8, 9, 96, 96), (16, 32, 12, 12)])
+    def test_train_forward_equals_mean_and_var(self, dtype, shape):
+        """The variance from the kept deviations is bitwise x.var's, and so are the output, cache and running stats."""
+        rng = np.random.default_rng(shape[1])
+        c = shape[1]
+        store = ParamStore(dtype)
+        bn = BatchNorm2d(store, "bn", c)
+        for p in (bn.gamma, bn.beta, bn.running_mean):
+            p.data[:] = rng.normal(size=c)
+        bn.running_var.data[:] = rng.uniform(0.5, 2.0, c)
+        x = (rng.normal(3.0, 5.0, size=shape) * rng.uniform(1e-3, 1e3, size=(1, c, 1, 1))).astype(dtype)
+        x[0, 0, 0, 0] = np.nan
+        x[-1, 1, -1, -1] = np.inf
+        before = x.copy()
+        rm, rv = bn.running_mean.data.copy(), bn.running_var.data.copy()
+        s = (1, c, 1, 1)
+        with np.errstate(invalid="ignore"):
+            mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+            inv_std = 1.0 / np.sqrt(var + bn.EPS)
+            xhat = (x - mu.reshape(s)) * inv_std.reshape(s)
+            want = bn.gamma.data.reshape(s) * xhat + bn.beta.data.reshape(s)
+            got = bn.forward(x, train=True)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for kept, expected in zip(bn._cache, (xhat, inv_std)):
+            assert kept.dtype == expected.dtype and kept.tobytes() == expected.tobytes()
+        m = bn.MOMENTUM
+        assert bn.running_mean.data.tobytes() == (m * rm + (1.0 - m) * mu).astype(dtype).tobytes()
+        assert bn.running_var.data.tobytes() == (m * rv + (1.0 - m) * var).astype(dtype).tobytes()
         np.testing.assert_array_equal(x, before)
 
     def test_gradients_match_fd(self):

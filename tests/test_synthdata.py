@@ -197,11 +197,16 @@ class TestComposite:
 
 
 # sha256 of the renders in test_renders_keep_their_bytes, recorded before the renderer shared its
-# clamped-box, inside-margin and board helpers; every rng draw keeps its order, so the bytes stay
+# clamped-box, inside-margin and board helpers; every rng draw keeps its order, so the bytes stay.  The
+# smallest size synth accepts (32x48) and a non-square one (40x56) were recorded before the fills
+# broadcast a row against a column and the downsample spelled out its sums, so the renderer is
+# pinned at the size floor too
 RENDER_SHA256 = {
     (96, 96): "e6feb919f632105ef40bd19e2f27dc19152f850c2ed20b422bbde16f4b1a93a9",
     (64, 80): "1c0bda2f1f5b2f563bc764179cd1dff179ca9b17d124603195018b3d362c8058",
     (240, 320): "42f33ded8b0f56be30cf1d754a376d2f2005a122f950e19b778027c2758a72a2",
+    (32, 48): "89090b4ae13de4441a56f9252837562601d89d52f4f421a981cbbf86a0845f45",
+    (40, 56): "b5135a224b8881f8ace0272127f7f664b7f37a5d7f1a016645228373ea732874",
 }
 
 
@@ -217,6 +222,35 @@ def test_renders_keep_their_bytes(size):
             digest.update(sample.image.tobytes())
             digest.update(sample.points.tobytes())
     assert digest.hexdigest() == RENDER_SHA256[size]
+
+
+def block_mean_downsample(buf, h, w):
+    """The canvas's first downsample: numpy's float32 mean over each 4x4 block, then the clip."""
+    return np.clip(buf.reshape(h, 4, w, 4).mean(axis=(1, 3)), 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("size", [(96, 96), (240, 320)])
+def test_downsample_equals_block_mean(size):
+    """The spelled-out sums give the bytes of numpy's reduction, whose order was measured on numpy 2.4.6."""
+    h, w = size
+    rng = np.random.default_rng(h + w)
+    nan_bits = np.array([0x7FC00000, 0xFFC00000, 0x7FC0BEEF, 0xFFC12345, 0x7F800001], dtype=np.uint32)
+    canvases = [rng.random((4 * h, 4 * w), dtype=np.float32) for _ in range(3)]
+    special = rng.random((4 * h, 4 * w), dtype=np.float32)
+    special[:4, :4] = -0.0  # sums to +0.0 only when the sums start from +0.0
+    special[4:8, :4] = np.float32(1e-45)  # subnormals
+    flat = special.ravel()
+    picks = rng.choice(flat.size, size=flat.size // 20, replace=False)
+    flat[picks[0::3]] = nan_bits.view(np.float32)[rng.integers(len(nan_bits), size=len(picks[0::3]))]
+    flat[picks[1::3]] = np.inf
+    flat[picks[2::3]] = -np.inf
+    canvases.append(special)
+    for buf in canvases:
+        with np.errstate(invalid="ignore"):
+            want = block_mean_downsample(buf, h, w)
+            got = sd._Canvas(h, w, buf.copy()).downsample()
+        assert got.dtype == np.float32 and got.shape == (h, w)
+        assert got.tobytes() == want.tobytes(), f"{np.count_nonzero(got.view(np.uint32) != want.view(np.uint32))} differ"
 
 
 class TestPointsFile:

@@ -176,7 +176,8 @@ class TestTrainMagicpoint:
 
 
     def test_second_step_peaks_no_higher_than_the_first_plus_adam_state(self):
-        """Backward releases every layer's cache, so step 2's forward starts beside the weights alone."""
+        """Backward releases every layer's cache and _fit step 1's outputs and gradients, so step 2's forward
+        starts beside the weights and Adam's moments alone."""
         stream = sd.StreamConfig(height=64, width=64, seed=9)
 
         def peak(iterations):
@@ -191,12 +192,10 @@ class TestTrainMagicpoint:
         one, two = peak(1), peak(2)
         model = PointNet(MICRO, with_descriptor=False)
         adam_state = 2 * sum(p.data.nbytes for p in model.store.params.values() if p.trainable)
-        logits = 4 * 65 * 8 * 8 * 4
-        # the slack: Adam's two moment arrays, made by step 1's update, step 1's logits and their gradient,
-        # which _fit holds until step 2's forward and loss replace them, and 64 KB of interpreter objects
-        # (0.59 MB in all; step 2 takes 0.48 MB more than step 1); step 1's activations, were they still
-        # held when step 2 runs, would add 0.9-1.2 MB
-        assert two <= one + adam_state + 2 * logits + 64 * 1024, (one, two, adam_state, logits)
+        # the slack: Adam's two moment arrays, made by step 1's update, and 64 KB of interpreter objects
+        # (step 2 takes 0.40 MB more than step 1, Adam's moments 0.39 MB); step 1's parameter gradients,
+        # were they still held when step 2's forward runs, would add 0.1 MB net, and its activations 0.9-1.2 MB
+        assert two <= one + adam_state + 64 * 1024, (one, two, adam_state)
 
 
 def labeled_dataset(n=3, seed=0):
