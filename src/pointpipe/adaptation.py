@@ -34,8 +34,6 @@ class AdaptConfig:
     def __post_init__(self):
         if self.n_homographies < 1:
             raise ValueError("need at least one homography (the identity)")
-        if not (self.nms_radius >= 0.0):
-            raise ValueError(f"AdaptConfig.nms_radius must be a number >= 0, got {self.nms_radius}")
 
 
 def _erode(mask: np.ndarray, radius: int) -> np.ndarray:

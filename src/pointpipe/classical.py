@@ -230,13 +230,16 @@ def threshold_points(heatmap: np.ndarray, threshold: float) -> np.ndarray:
     return np.stack([xs.astype(np.float64), ys.astype(np.float64), hm[ys, xs].astype(np.float64)], axis=1)
 
 
+def select_points(points: np.ndarray, nms_radius: float, top_k: int = 0) -> np.ndarray:
+    """Greedy NMS, then the strongest top_k (0 = all)."""
+    if top_k < 0:
+        raise ValueError("top_k must be >= 0")
+    pts = nms(points, nms_radius)
+    return pts[:top_k] if top_k else pts
+
+
 def heatmap_to_points(
     heatmap: np.ndarray, threshold: float, nms_radius: float, top_k: int = 0
 ) -> np.ndarray:
     """Threshold a response map, suppress, keep the strongest top_k (0 = all)."""
-    if top_k < 0:
-        raise ValueError("top_k must be >= 0")
-    pts = nms(threshold_points(heatmap, threshold), nms_radius)
-    if top_k and len(pts) > top_k:
-        pts = pts[:top_k]
-    return pts
+    return select_points(threshold_points(heatmap, threshold), nms_radius, top_k)

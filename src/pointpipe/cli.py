@@ -3,8 +3,11 @@
 Subcommands cover dataset dumping, detector pretraining, self-labeling,
 joint training, detection/matching on files, the benchmark protocols, and
 the noise/blob/warp-count experiment sweeps.  Every option can come from a
-``--config`` file (section.key = value) or a flag; flags win.  Exit codes:
-0 success, 2 configuration error, 3 runtime or data error.
+``--config`` file (section.key = value) or a flag; flags win.  An option's
+type states the values it accepts (see ``config``), so every setting is
+checked before a subcommand starts; the subcommands check only what depends
+on their inputs, such as ``adapt.crop`` against the image sizes.  Exit
+codes: 0 success, 2 configuration error, 3 runtime or data error.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -44,6 +48,8 @@ from .neural.network import CELL
 from .neural.training import LossLog, train_detector_on_labels
 
 CLASSICAL_NAMES = ("harris", "shi", "fast")
+ARCH_TYPE = "|".join(("str", *ARCH_PRESETS))
+PRESET_TYPE = "|".join(("str", *geo.PRESETS))
 
 
 def parallel_map(fn, items, threads):
@@ -94,15 +100,7 @@ def heatmap_detector(spec: str):
     return model.heatmap
 
 
-def check_top_k(top_k):
-    if top_k < 0:
-        raise ValueError(f"--top-k must be >= 0 (0 keeps every point), got {top_k}")
-
-
 def make_system(weights, threshold, nms_radius, top_k, random_desc_seed=None):
-    if not (nms_radius >= 0.0):
-        raise ValueError(f"--nms must be a number >= 0, got {nms_radius}")
-    check_top_k(top_k)
     model = load_model(weights)
     if model.desc_head is None:
         raise ConfigError(f"{weights}: weight file has no descriptor head")
@@ -128,7 +126,8 @@ def list_images(directory):
     return [os.path.join(directory, n) for n in names]
 
 
-def parse_mix(text: str):
+def parse_mix(key: str, text: str):
+    """The category weights of a mix setting (``star:0.5,cube:0.5``, weight 1 when left out), None for uniform."""
     if text == "uniform":
         return None
     mix = {}
@@ -137,17 +136,17 @@ def parse_mix(text: str):
         try:
             cat = sd.ShapeCategory(name.strip())
         except ValueError:
-            raise ConfigError(f"unknown shape category {name.strip()!r}") from None
-        mix[cat] = float(weight) if weight else 1.0
+            raise ConfigError(f"config key {key}: unknown shape category {name.strip()!r}") from None
+        try:
+            mix[cat] = float(weight) if weight else 1.0
+            if not (math.isfinite(mix[cat]) and mix[cat] >= 0.0):
+                raise ValueError(weight)
+        except ValueError:
+            raise ConfigError(f"config key {key}: the weight of {cat.value} must be a finite number >= 0, "
+                              f"got {weight.strip()!r}") from None
+    if sum(mix.values()) <= 0.0:
+        raise ConfigError(f"config key {key}: the category weights must sum to > 0, got {text!r}")
     return mix
-
-
-def check_image_size(cfg, section, multiple=1):
-    """Reject a --height/--width the shape renderer (>= 32) or the network (a multiple of 8) cannot take."""
-    for key in (f"{section}.height", f"{section}.width"):
-        if cfg[key] < 32 or cfg[key] % multiple:
-            rule = "at least 32" + (f" and a multiple of {multiple}" if multiple > 1 else "")
-            raise ValueError(f"config key {key}: must be {rule}, got {cfg[key]}")
 
 
 def composite_images(count, shape, seed):
@@ -164,9 +163,9 @@ def pair_options(section, count, height, width, n_points):
         Option(f"{section}.count", "count", count),
         Option(f"{section}.height", "int", height),
         Option(f"{section}.width", "int", width),
-        Option(f"{section}.n_points", "int", n_points),
-        Option(f"{section}.eps", "float", 3.0),
-        Option(f"{section}.nms", "float", 4.0),
+        Option(f"{section}.n_points", "budget", n_points),
+        Option(f"{section}.eps", "distance", 3.0),
+        Option(f"{section}.nms", "radius", 4.0),
         Option(f"{section}.threshold", "float", 0.015),
         Option(f"{section}.out", "path", help="output CSV"),
         Option(f"{section}.seed", "int", 0),
@@ -174,7 +173,7 @@ def pair_options(section, count, height, width, n_points):
 
 
 def pair_benchmark(cfg, section, preset="training"):
-    """(DetectorProtocol, warped pairs) of a pair_options section; settings are checked before any image is made."""
+    """(DetectorProtocol, warped pairs) of a pair_options section."""
     protocol = ev.DetectorProtocol(n_points=cfg[f"{section}.n_points"], eps=cfg[f"{section}.eps"],
                                    nms_radius=cfg[f"{section}.nms"])
     ranges = geo.ranges_preset(preset)
@@ -209,7 +208,7 @@ def training_options(section, batch):
         Option(f"{section}.out", "path", help="output .spw weight file"),
         Option(f"{section}.iterations", "int", 2000),
         Option(f"{section}.batch", "int", batch),
-        Option(f"{section}.arch", "str", "micro", "micro or full"),
+        Option(f"{section}.arch", ARCH_TYPE, "micro", "micro or full"),
         Option(f"{section}.seed", "int", 0),
         Option(f"{section}.lr", "float", 0.001),
         Option(f"{section}.log", "path", ""),
@@ -248,13 +247,12 @@ def train_and_save(cfg, section, train, done, **extra):
 
 
 def cmd_synth(cfg):
-    check_image_size(cfg, "synth")
-    out = cfg["synth.out"]
-    os.makedirs(out, exist_ok=True)
     stream_cfg = sd.StreamConfig(
         height=cfg["synth.height"], width=cfg["synth.width"],
-        mix=parse_mix(cfg["synth.mix"]), noise=cfg["synth.noise"], seed=cfg["synth.seed"],
+        mix=parse_mix("synth.mix", cfg["synth.mix"]), noise=cfg["synth.noise"], seed=cfg["synth.seed"],
     )
+    out = cfg["synth.out"]
+    os.makedirs(out, exist_ok=True)
     manifest = []
     for i in range(cfg["synth.count"]):
         sample = sd.sample_at(stream_cfg, i)
@@ -269,8 +267,8 @@ def cmd_synth(cfg):
 SYNTH_SCHEMA = [
     Option("synth.out", "path", help="output directory"),
     Option("synth.count", "count", 100),
-    Option("synth.height", "int", 96),
-    Option("synth.width", "int", 96),
+    Option("synth.height", "side", 96),
+    Option("synth.width", "side", 96),
     Option("synth.mix", "str", "uniform", "category mix, e.g. star:0.5,cube:0.5"),
     Option("synth.noise", "bool", True),
     Option("synth.seed", "int", 0),
@@ -278,10 +276,9 @@ SYNTH_SCHEMA = [
 
 
 def cmd_train_magicpoint(cfg):
-    check_image_size(cfg, "train_mp", CELL)
     stream_cfg = sd.StreamConfig(
         height=cfg["train_mp.height"], width=cfg["train_mp.width"],
-        mix=parse_mix(cfg["train_mp.mix"]), noise=cfg["train_mp.noise"], seed=cfg["train_mp.seed"],
+        mix=parse_mix("train_mp.mix", cfg["train_mp.mix"]), noise=cfg["train_mp.noise"], seed=cfg["train_mp.seed"],
     )
     ckpt_dir = os.path.dirname(os.path.abspath(cfg["train_mp.out"]))
 
@@ -296,8 +293,8 @@ def cmd_train_magicpoint(cfg):
 
 TRAIN_MP_SCHEMA = [
     *training_options("train_mp", batch=8),
-    Option("train_mp.height", "int", 96),
-    Option("train_mp.width", "int", 96),
+    Option("train_mp.height", "cells", 96),
+    Option("train_mp.width", "cells", 96),
     Option("train_mp.mix", "str", "uniform"),
     Option("train_mp.noise", "bool", True),
     Option("train_mp.checkpoint_every", "int", 0),
@@ -305,7 +302,6 @@ TRAIN_MP_SCHEMA = [
 
 
 def cmd_adapt_label(cfg):
-    check_top_k(cfg["adapt.top_k"])
     images = [im.read_pgm(p) for p in list_images(cfg["adapt.images"])]
     detector = heatmap_detector(cfg["adapt.weights"])
     adapt_cfg = ad.AdaptConfig(
@@ -338,7 +334,7 @@ def cmd_adapt_label(cfg):
         save_weights(path, model.store)
         return model.heatmap
 
-    # no makedirs here: self_label creates the output directory with round_1/, after checking its settings
+    # self_label creates the output directory with round_1/
     ad.self_label(
         images, detector, adapt_cfg, rounds,
         retrain=retrain if retrains else None,
@@ -351,12 +347,12 @@ ADAPT_SCHEMA = [
     Option("adapt.images", "path", help="directory of .pgm images to label"),
     detector_option("adapt.weights", ".spw file or harris/shi"),
     Option("adapt.out", "path", help="label output directory"),
-    Option("adapt.nh", "int", 100, "number of homographies (identity included)"),
-    Option("adapt.rounds", "int", 1),
+    Option("adapt.nh", "count", 100, "number of homographies (identity included)"),
+    Option("adapt.rounds", "count", 1),
     Option("adapt.threshold", "float", 0.015),
-    Option("adapt.nms", "float", 4.0),
-    Option("adapt.top_k", "int", 0),
-    Option("adapt.arch", "str", "micro"),
+    Option("adapt.nms", "radius", 4.0),
+    Option("adapt.top_k", "budget", 0),
+    Option("adapt.arch", ARCH_TYPE, "micro"),
     Option("adapt.crop", "int", 96, "training crop for the per-round retrain"),
     Option("adapt.train_iterations", "int", 1000),
     Option("adapt.train_batch", "int", 8),
@@ -404,14 +400,13 @@ TRAIN_SP_SCHEMA = [
 def cmd_detect(cfg):
     inp = cfg["detect.input"]
     paths = list_images(inp) if os.path.isdir(inp) else [inp]
-    protocol = ev.DetectorProtocol(n_points=cfg["detect.top_k"], nms_radius=cfg["detect.nms"])
     detector = candidate_detector(cfg["detect.weights"], cfg["detect.threshold"])
     out = cfg["detect.out"]
     os.makedirs(out, exist_ok=True)
 
     def work(path):
         image = im.read_pgm(path)
-        pts = ev.select_points(detector(image), protocol)
+        pts = cl.select_points(detector(image), cfg["detect.nms"], cfg["detect.top_k"])
         stem = os.path.splitext(os.path.basename(path))[0]
         sd.write_points(os.path.join(out, stem + ".pts"), pts)
         im.write_pgm(os.path.join(out, stem + "_overlay.pgm"), im.overlay_points(image, pts))
@@ -426,8 +421,8 @@ DETECT_SCHEMA = [
     detector_option("detect.weights", ".spw file or harris/shi/fast"),
     Option("detect.out", "path", help="output directory"),
     Option("detect.threshold", "float", 0.015),
-    Option("detect.nms", "float", 4.0),
-    Option("detect.top_k", "int", 0),
+    Option("detect.nms", "radius", 4.0),
+    Option("detect.top_k", "budget", 0),
     Option("detect.threads", "count", 1, "worker threads for per-image work"),
 ]
 
@@ -460,10 +455,10 @@ MATCH_SCHEMA = [
     Option("match.image_b", "path"),
     Option("match.out", "path", help="output directory"),
     Option("match.threshold", "float", 0.015),
-    Option("match.nms", "float", 4.0),
-    Option("match.top_k", "int", 1000),
-    Option("match.ransac_threshold", "float", 3.0),
-    Option("match.ransac_iters", "int", 2000),
+    Option("match.nms", "radius", 4.0),
+    Option("match.top_k", "budget", 1000),
+    Option("match.ransac_threshold", "distance", 3.0),
+    Option("match.ransac_iters", "count", 2000),
     Option("match.seed", "int", 0),
 ]
 
@@ -479,26 +474,20 @@ def cmd_eval_detector(cfg):
 
 EVAL_DET_SCHEMA = [
     Option("eval_det.detectors", "str", help="comma list: name[:weights], e.g. magic:w.spw,harris"),
-    Option("eval_det.preset", "str", "training", "homography preset for pairs"),
+    Option("eval_det.preset", PRESET_TYPE, "training", "homography preset for pairs"),
     *pair_options("eval_det", count=50, height=240, width=320, n_points=300),
 ]
 
 
 def cmd_eval_matching(cfg):
     seed = cfg["eval_match.seed"]
-    try:
-        eps_list = tuple(float(e) for e in cfg["eval_match.eps_list"].split(","))
-    except ValueError:
-        raise ConfigError(f"--eps-list (eval_match.eps_list): expected comma-separated numbers, "
-                          f"got {cfg['eval_match.eps_list']!r}") from None
     protocol = ev.MatchingProtocol(n_points=cfg["eval_match.n_points"], eps=cfg["eval_match.eps"],
-                                   eps_list=eps_list, ransac=ev.RansacParams(seed=seed))
+                                   eps_list=cfg["eval_match.eps_list"], ransac=ev.RansacParams(seed=seed))
     system = make_system(
         cfg["eval_match.weights"], cfg["eval_match.threshold"], cfg["eval_match.nms"],
         cfg["eval_match.n_points"],
         random_desc_seed=seed if cfg["eval_match.random_descriptors"] else None,
     )
-    # the matching protocol and make_system above have checked the settings the detector protocol holds
     _, pairs = pair_benchmark(cfg, "eval_match", cfg["eval_match.preset"])
     report = ev.run_matching_benchmark(system, pairs, protocol)
     ev.write_matching_report_csv(cfg["eval_match.out"], report)
@@ -508,8 +497,8 @@ def cmd_eval_matching(cfg):
 
 EVAL_MATCH_SCHEMA = [
     Option("eval_match.weights", "path", help="joint .spw weight file"),
-    Option("eval_match.preset", "str", "training"),
-    Option("eval_match.eps_list", "str", "1,3,5"),
+    Option("eval_match.preset", PRESET_TYPE, "training"),
+    Option("eval_match.eps_list", "distance list", "1,3,5"),
     Option("eval_match.random_descriptors", "bool", False),
     *pair_options("eval_match", count=50, height=96, width=96, n_points=1000),
 ]
@@ -522,7 +511,7 @@ def _noise_experiment(cfg, column, conditions, corrupt):
     i, image)`` returns sample i's image under that condition.  Returns the
     number of rows written.
     """
-    eps = ev.DetectorProtocol(eps=cfg["exp_noise.eps"]).eps  # checked before any shape is rendered
+    eps = cfg["exp_noise.eps"]
     stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"], noise=False)
     seed = cfg["exp_noise.seed"]
     # sample_at draws sample i of a stream from the key (seed, i); the spawn key 0x5E makes these keys
@@ -557,9 +546,9 @@ def cmd_exp_noise_sweep(cfg):
 EXP_NOISE_SCHEMA = [
     Option("exp_noise.detectors", "str", help="comma list: name[:weights]"),
     Option("exp_noise.count", "count", 100),
-    Option("exp_noise.height", "int", 96),
-    Option("exp_noise.width", "int", 96),
-    Option("exp_noise.eps", "float", 3.0),
+    Option("exp_noise.height", "side", 96),
+    Option("exp_noise.width", "side", 96),
+    Option("exp_noise.eps", "distance", 3.0),
     Option("exp_noise.threshold", "float", 0.015),
     Option("exp_noise.out", "path", help="output CSV"),
     Option("exp_noise.seed", "int", 0),
@@ -603,16 +592,12 @@ EXP_SQUARE_SCHEMA = [
 
 def cmd_exp_nh_sweep(cfg):
     seed = cfg["exp_nh.seed"]
-    try:
-        nh_list = [int(x) for x in cfg["exp_nh.nh_list"].split(",")]
-    except ValueError:
-        raise ConfigError(f"--nh-list (exp_nh.nh_list): expected comma-separated integers, "
-                          f"got {cfg['exp_nh.nh_list']!r}") from None
-    adapt_cfgs = [ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"]) for nh in nh_list]
     protocol, pairs = pair_benchmark(cfg, "exp_nh")
     base = heatmap_detector(cfg["exp_nh.weights"])
     rows = []
-    for nh, adapt_cfg in zip(nh_list, adapt_cfgs):
+    for nh in cfg["exp_nh.nh_list"]:
+        adapt_cfg = ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"])
+
         def detector(img, _cfg=adapt_cfg):
             per_image = zlib.crc32(img.tobytes()) ^ seed
             hm = ad.adapt(base, img, _cfg, seed=per_image)
@@ -628,7 +613,7 @@ def cmd_exp_nh_sweep(cfg):
 
 EXP_NH_SCHEMA = [
     detector_option("exp_nh.weights", ".spw file or harris/shi"),
-    Option("exp_nh.nh_list", "str", "1,10,100"),
+    Option("exp_nh.nh_list", "count list", "1,10,100"),
     *pair_options("exp_nh", count=20, height=240, width=320, n_points=300),
 ]
 

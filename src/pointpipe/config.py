@@ -9,14 +9,31 @@ file.  Paths from the file resolve relative to the file's directory, except
 a path option's words: its default and the words its type names after
 ``path|``.  The command reads these itself (``composites``, ``harris``), so
 they keep their meaning from a file as from a flag.
+
+An option's type is the one statement of the values it accepts: ``RULES``
+for the ranged types, a ``str`` type's words, and a ``<type> list`` of
+comma-separated entries.  ``resolve`` checks every value, defaults included,
+before a command runs, and raises ``ConfigError`` (``config key
+<section.key>: ...``) for any other.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 REQUIRED = object()
+
+# type: (parse, accepts, what an accepted value is)
+RULES = {
+    "count": (int, lambda v: v >= 1, ">= 1"),
+    "budget": (int, lambda v: v >= 0, ">= 0 (0 keeps every point)"),
+    "radius": (float, lambda v: v >= 0.0, "a number >= 0"),
+    "distance": (float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0"),
+    "side": (int, lambda v: v >= 32, ">= 32"),
+    "cells": (int, lambda v: v >= 32 and v % 8 == 0, ">= 32 and a multiple of 8"),
+}
 
 
 class ConfigError(Exception):
@@ -26,7 +43,9 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class Option:
     key: str  # full "section.key" name
-    type: str  # int | count (an int >= 1) | float | str | bool | path, or path|word|... (see words)
+    # int | float | bool | a RULES type | "<RULES type> list" | str or path, either followed by |word|...;
+    # a str type with words accepts only them, a path type also accepts files (see words)
+    type: str
     default: object = REQUIRED
     help: str = ""
 
@@ -62,33 +81,41 @@ def parse_config_file(path):
 
 
 def _convert(opt: Option, raw: str, base_dir: str | None):
+    kind, *words = opt.type.split("|")
+    if kind == "path":
+        if base_dir is not None and raw and raw not in opt.words and not os.path.isabs(raw):
+            return os.path.normpath(os.path.join(base_dir, raw))
+        return raw
+    if kind == "str":
+        if words and raw not in words:
+            raise ConfigError(f"config key {opt.key}: must be one of {', '.join(words)}, got {raw!r}")
+        return raw
+    item = kind.removesuffix(" list")
+    listed = item != kind
     try:
-        if opt.type in ("int", "count"):
-            value = int(raw)
-            if opt.type == "count" and value < 1:
-                raise ConfigError(f"config key {opt.key}: must be >= 1, got {value}")
-            return value
-        if opt.type == "float":
-            return float(raw)
-        if opt.type == "bool":
+        if kind == "bool":
             low = raw.strip().lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        if opt.type.startswith("path"):
-            if base_dir is not None and raw and raw not in opt.words and not os.path.isabs(raw):
-                return os.path.normpath(os.path.join(base_dir, raw))
-            return raw
-        return raw
+        if kind in ("int", "float"):
+            return int(raw) if kind == "int" else float(raw)
+        parse, accepts, rule = RULES[item]
+        values = [parse(part) for part in (raw.split(",") if listed else [raw])]
     except ValueError:
         raise ConfigError(f"config key {opt.key}: cannot parse {raw!r} as {opt.type}") from None
+    for value in values:
+        if not accepts(value):
+            each = "each entry " if listed else ""
+            raise ConfigError(f"config key {opt.key}: {each}must be {rule}, got {value}")
+    return tuple(values) if listed else values[0]
 
 
 def resolve(schema: list[Option], sections: set[str], file_pairs: dict, base_dir: str | None,
             cli_values: dict) -> dict:
-    """Merge defaults < file < CLI; returns full-key -> typed value."""
+    """Merge defaults < file < CLI; returns full-key -> typed value, each checked against its type."""
     by_key = {o.key: o for o in schema}
     for key in file_pairs:
         section = key.split(".", 1)[0]
@@ -99,7 +126,7 @@ def resolve(schema: list[Option], sections: set[str], file_pairs: dict, base_dir
         if opt.key in file_pairs:
             out[opt.key] = _convert(opt, file_pairs[opt.key], base_dir)
         elif opt.default is not REQUIRED:
-            out[opt.key] = opt.default
+            out[opt.key] = _convert(opt, str(opt.default), None)
         if opt.dest in cli_values and cli_values[opt.dest] is not None:
             out[opt.key] = _convert(opt, str(cli_values[opt.dest]), None)
         if opt.key not in out:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry as geo
-from .classical import nms
+from .classical import select_points
 
 
 class InsufficientMatches(ValueError):
@@ -350,12 +350,6 @@ class RansacParams:
     max_iters: int = 2000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"RansacParams.max_iters must be >= 1, got {self.max_iters}")
-        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
-            raise ValueError(f"RansacParams.threshold must be a finite number > 0, got {self.threshold}")
-
 
 # Minimal samples drawn and evaluated together by estimate_homography.
 RANSAC_BLOCK = 64
@@ -501,14 +495,6 @@ class DetectorProtocol:
     eps: float = 3.0
     nms_radius: float = 4.0
 
-    def __post_init__(self):
-        if self.n_points < 0:
-            raise ValueError(f"DetectorProtocol.n_points must be >= 0 (0 keeps every point), got {self.n_points}")
-        if not (self.nms_radius >= 0.0):
-            raise ValueError(f"DetectorProtocol.nms_radius must be a number >= 0, got {self.nms_radius}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"DetectorProtocol.eps must be a finite number > 0, got {self.eps}")
-
 
 @dataclass(frozen=True)
 class MatchingProtocol:
@@ -516,15 +502,6 @@ class MatchingProtocol:
     eps: float = 3.0
     eps_list: tuple = (1.0, 3.0, 5.0)
     ransac: RansacParams = RansacParams()
-
-    def __post_init__(self):
-        if self.n_points < 0:
-            raise ValueError(f"MatchingProtocol.n_points must be >= 0 (0 keeps every point), got {self.n_points}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"MatchingProtocol.eps must be a finite number > 0, got {self.eps}")
-        for e in self.eps_list:
-            if not (math.isfinite(e) and e > 0.0):
-                raise ValueError(f"MatchingProtocol.eps_list entries must be finite numbers > 0, got {e}")
 
 
 @dataclass
@@ -536,14 +513,6 @@ class EvalReport:
     correctness: dict = field(default_factory=dict)  # eps -> rate
     counts: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
-
-
-def select_points(points: np.ndarray, protocol: DetectorProtocol) -> np.ndarray:
-    """Uniform selection stage: greedy NMS then strongest n_points."""
-    pts = nms(np.asarray(points, dtype=np.float64).reshape(-1, 3), protocol.nms_radius)
-    if protocol.n_points and len(pts) > protocol.n_points:
-        pts = pts[: protocol.n_points]
-    return pts
 
 
 def random_points(shape, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -577,8 +546,8 @@ def run_detector_benchmark(detectors: dict, pairs, protocol: DetectorProtocol = 
     for name, det in detectors.items():
         reps, mles, rows = [], [], []
         for idx, (img_a, img_b, h) in enumerate(pairs):
-            p1 = select_points(det(img_a), protocol)
-            p2 = select_points(det(img_b), protocol)
+            p1 = select_points(det(img_a), protocol.nms_radius, protocol.n_points)
+            p2 = select_points(det(img_b), protocol.nms_radius, protocol.n_points)
             rep = repeatability(p1, p2, h, img_a.shape, protocol.eps)
             mle = pair_mle(p1, p2, h, protocol.eps)
             reps.append(rep)
@@ -657,11 +626,12 @@ def detector_gt_metrics(detector, samples, eps: float = 3.0) -> tuple[float, flo
     """
     aps, les = [], []
     defined = 0
+    protocol = DetectorProtocol()
     for sample in samples:
         if len(sample.points) == 0:
             continue
         defined += 1
-        dets = select_points(detector(sample.image), DetectorProtocol())
+        dets = select_points(detector(sample.image), protocol.nms_radius, protocol.n_points)
         aps.append(average_precision(dets, sample.points, eps))
         try:
             les.append(localization_error(dets, sample.points, eps))

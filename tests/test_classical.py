@@ -451,7 +451,7 @@ class TestNmsPathTaken:
         img = cli.composite_images(1, (240, 320), 0)[0]
         noisy = im.apply_noise_battery(img, np.random.default_rng(1))
         for response in (cl.shi_tomasi(img), cl.harris(img), cl.harris(noisy)):
-            ev.select_points(cl.threshold_points(response, 1e-12), ev.DetectorProtocol())
+            cl.select_points(cl.threshold_points(response, 1e-12), 4.0, 300)
         assert raster_used == [True, True, True]
 
     def test_learned_maps_use_the_raster_and_random_points_are_scanned(self, raster_used):
@@ -462,7 +462,7 @@ class TestNmsPathTaken:
         detector = cli.load_model(os.path.join(fixtures, "detector.spw")).heatmap
         cl.heatmap_to_points(ad.adapt(detector, img, ad.AdaptConfig(n_homographies=3), seed=0), 0.015, 4.0)
         assert raster_used == [True, True]
-        ev.select_points(ev.random_points(img.shape, 300, np.random.default_rng(0)), ev.DetectorProtocol())
+        cl.select_points(ev.random_points(img.shape, 300, np.random.default_rng(0)), 4.0, 300)
         assert raster_used == [True, True, False]
 
 
@@ -494,4 +494,8 @@ class TestHeatmapToPoints:
         hm = np.eye(12, dtype=np.float32)
         pts = cl.heatmap_to_points(hm, 0.5, 0.0, 0)
         assert len(pts) == 12
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k must be >= 0"):
+            cl.heatmap_to_points(np.eye(12, dtype=np.float32), 0.5, 0.0, -1)
 

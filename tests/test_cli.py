@@ -13,7 +13,7 @@ from pointpipe import evalsuite as ev
 from pointpipe import imaging as im
 from pointpipe import synthdata as sd
 from pointpipe.cli import COMMANDS, main
-from pointpipe.config import ConfigError, Option, parse_config_file, resolve
+from pointpipe.config import REQUIRED, RULES, ConfigError, Option, parse_config_file, resolve
 from pointpipe.neural import ARCH_PRESETS, PointNet, save_weights
 
 
@@ -92,6 +92,31 @@ class TestConfigMachinery:
         schema = [Option("s.flag", "bool", False)]
         with pytest.raises(ConfigError):
             resolve(schema, {"s"}, {"s.flag": "maybe"}, None, {})
+
+    @pytest.mark.parametrize("kind, accepted, rejected", [
+        ("count", ["1", "7"], ["0", "-5"]),
+        ("budget", ["0", "300"], ["-1"]),
+        ("radius", ["0", "4.5", "inf"], ["-1", "nan", "-inf"]),
+        ("distance", ["0.5", "3"], ["0", "-1", "nan", "inf"]),
+        ("side", ["32", "97"], ["31", "0"]),
+        ("cells", ["32", "96"], ["24", "31", "36"]),
+        ("count list", ["1", "1,10,100"], ["1,0", "-1"]),
+        ("distance list", ["3", "1,3,5"], ["1,inf", "0"]),
+        ("str|micro|full", ["micro", "full"], ["bogus", "", "Micro"]),
+    ])
+    def test_each_rule_at_its_edges(self, kind, accepted, rejected):
+        schema = [Option("s.v", kind)]
+        for raw in accepted:
+            resolve(schema, {"s"}, {"s.v": raw}, None, {})
+        for raw in rejected:
+            with pytest.raises(ConfigError, match=r"^config key s\.v: (each entry )?must be "):
+                resolve(schema, {"s"}, {"s.v": raw}, None, {})
+
+    def test_defaults_are_typed_and_checked(self):
+        schema = [Option("s.nh", "count list", "1,10,100"), Option("s.eps", "distance list", "1,3,5")]
+        assert resolve(schema, {"s"}, {}, None, {}) == {"s.nh": (1, 10, 100), "s.eps": (1.0, 3.0, 5.0)}
+        with pytest.raises(ConfigError, match="config key s.nms: must be a number >= 0, got -1.0"):
+            resolve([Option("s.nms", "radius", -1.0)], {"s"}, {}, None, {})
 
 
 class TestExitCodes:
@@ -189,17 +214,17 @@ class TestExitCodes:
         im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
         out = tmp_path / "labels"
         assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
-                    "--rounds", "0"]) == 3
-        assert "rounds must be >= 1" in capsys.readouterr().err
+                    "--rounds", "0"]) == 2
+        assert "config key adapt.rounds: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("nh_list, code, message", [
-        ("1,x", 2, "--nh-list (exp_nh.nh_list): expected comma-separated integers, got '1,x'"),
-        ("1,0", 3, "need at least one homography"),
+    @pytest.mark.parametrize("nh_list, message", [
+        ("1,x", "config key exp_nh.nh_list: cannot parse '1,x' as count list"),
+        ("1,0", "config key exp_nh.nh_list: each entry must be >= 1, got 0"),
     ])
-    def test_bad_nh_list_rejected_before_work(self, tmp_path, capsys, nh_list, code, message):
+    def test_bad_nh_list_rejected_before_work(self, tmp_path, capsys, nh_list, message):
         assert run(["exp-nh-sweep", "--weights", "harris", "--count", "1", "--height", "48", "--width", "48",
-                    "--nh-list", nh_list, "--out", str(tmp_path / "nh.csv")]) == code
+                    "--nh-list", nh_list, "--out", str(tmp_path / "nh.csv")]) == 2
         out, err = capsys.readouterr()
         assert message in err
         assert out == ""
@@ -212,60 +237,57 @@ class TestExitCodes:
                      "--top-k", "-1"],
                     ["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
                      "--out", str(tmp_path / "r.csv"), "--n-points", "-1"]]
-        for argv in commands:
-            assert run(argv) == 3, argv[0]
-            assert "DetectorProtocol.n_points must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+        for argv, key in zip(commands, ["detect.top_k", "eval_det.n_points"]):
+            assert run(argv) == 2, argv[0]
+            assert f"config key {key}: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
     def test_nan_nms_radius_exits_3_without_output(self, tmp_path, capsys):
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         commands = [
-            (["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o")],
-             "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
+            (["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o")], "detect.nms"),
             (["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
-              "--out", str(tmp_path / "r.csv")], "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
+              "--out", str(tmp_path / "r.csv")], "eval_det.nms"),
             (["adapt-label", "--images", str(tmp_path), "--weights", "harris", "--out", str(tmp_path / "labels"),
-              "--nh", "2"], "AdaptConfig.nms_radius must be a number >= 0, got nan"),
+              "--nh", "2"], "adapt.nms"),
         ]
-        for argv, message in commands:
-            assert run(argv + ["--nms", "nan"]) == 3, argv[0]
-            assert message in capsys.readouterr().err
+        for argv, key in commands:
+            assert run(argv + ["--nms", "nan"]) == 2, argv[0]
+            assert f"config key {key}: must be a number >= 0, got nan" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
     @pytest.mark.parametrize("command", [
         ["match", "--image-a", "{tmp}/a.pgm", "--image-b", "{tmp}/b.pgm", "--out", "{tmp}/o"],
         ["eval-matching", "--count", "1", "--out", "{tmp}/r.csv"],
     ])
-    @pytest.mark.parametrize("flags, message", [
-        (["--nms", "nan"], "--nms must be a number >= 0, got nan"),
-        (["--nms", "-1"], "--nms must be a number >= 0, got -1.0"),
-    ])
-    def test_bad_matching_nms_exits_3_before_loading(self, tmp_path, capsys, command, flags, message):
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_bad_matching_nms_exits_2_before_loading(self, tmp_path, capsys, command, value, shown):
         # the weight file does not exist: the radius is checked before it is read
         argv = [arg.format(tmp=tmp_path) for arg in command] + ["--weights", str(tmp_path / "unread.spw")]
-        assert run(argv + flags) == 3
-        assert message in capsys.readouterr().err
+        assert run(argv + ["--nms", value]) == 2
+        key = {"match": "match.nms", "eval-matching": "eval_match.nms"}[command[0]]
+        assert f"config key {key}: must be a number >= 0, got {shown}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_negative_match_budget_exits_3_before_loading(self, tmp_path, capsys):
         assert run(["match", "--weights", str(tmp_path / "unread.spw"), "--image-a", "a.pgm", "--image-b", "b.pgm",
-                    "--out", str(tmp_path / "o"), "--top-k", "-1"]) == 3
-        assert "--top-k must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+                    "--out", str(tmp_path / "o"), "--top-k", "-1"]) == 2
+        assert "config key match.top_k: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command, flags, message", [
         (["synth", "--out", "{tmp}/s", "--count", "1"], ["--height", "20"],
-         "config key synth.height: must be at least 32, got 20"),
+         "config key synth.height: must be >= 32, got 20"),
         (["synth", "--out", "{tmp}/s", "--count", "1"], ["--width", "31"],
-         "config key synth.width: must be at least 32, got 31"),
+         "config key synth.width: must be >= 32, got 31"),
         (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], ["--height", "100"],
-         "config key train_mp.height: must be at least 32 and a multiple of 8, got 100"),
+         "config key train_mp.height: must be >= 32 and a multiple of 8, got 100"),
         (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], ["--width", "24"],
-         "config key train_mp.width: must be at least 32 and a multiple of 8, got 24"),
+         "config key train_mp.width: must be >= 32 and a multiple of 8, got 24"),
     ])
     def test_bad_image_size_exits_3_before_output(self, tmp_path, capsys, command, flags, message):
-        assert run([arg.format(tmp=tmp_path) for arg in command] + flags) == 3
+        assert run([arg.format(tmp=tmp_path) for arg in command] + flags) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
@@ -300,8 +322,8 @@ class TestExitCodes:
     def test_bad_noise_eps_exits_3_before_rendering(self, tmp_path, capsys, monkeypatch, command, eps, shown):
         monkeypatch.setattr(sd, "sample_from", lambda *args: pytest.fail("a shape was rendered"))
         assert run([command, "--detectors", "harris", "--count", "2", "--eps", eps,
-                    "--out", str(tmp_path / "r.csv")]) == 3
-        assert f"DetectorProtocol.eps must be a finite number > 0, got {shown}" in capsys.readouterr().err
+                    "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"config key exp_noise.eps: must be a finite number > 0, got {shown}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_negative_label_budget_exits_3_before_adapting(self, tmp_path, capsys, monkeypatch):
@@ -311,24 +333,29 @@ class TestExitCodes:
         im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
         out = tmp_path / "labels"
         assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
-                    "--nh", "2", "--top-k", "-1"]) == 3
-        assert "--top-k must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+                    "--nh", "2", "--top-k", "-1"]) == 2
+        assert "config key adapt.top_k: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--ransac-iters", "0"], "RansacParams.max_iters must be >= 1, got 0"),
-        (["--ransac-iters", "-5"], "RansacParams.max_iters must be >= 1, got -5"),
-        (["--ransac-threshold", "-1"], "RansacParams.threshold must be a finite number > 0, got -1.0"),
-        (["--ransac-threshold", "nan"], "RansacParams.threshold must be a finite number > 0, got nan"),
+    @pytest.mark.parametrize("flags, field, message", [
+        (["--ransac-iters", "0"], "RansacParams.max_iters", "match.ransac_iters: must be >= 1, got 0"),
+        (["--ransac-iters", "-5"], "RansacParams.max_iters", "match.ransac_iters: must be >= 1, got -5"),
+        (["--ransac-threshold", "-1"], "RansacParams.threshold",
+         "match.ransac_threshold: must be a finite number > 0, got -1.0"),
+        (["--ransac-threshold", "nan"], "RansacParams.threshold",
+         "match.ransac_threshold: must be a finite number > 0, got nan"),
     ])
-    def test_bad_ransac_settings_exit_3_before_output(self, tmp_path, capsys, flags, message):
+    def test_bad_ransac_settings_exit_3_before_output(self, tmp_path, capsys, flags, field, message):
+        # the match setting that fills the RansacParams field rejects the value with exit 2,
+        # even with a readable weight file and images, and nothing is written
+        assert field.split(".")[1] in ev.RansacParams.__dataclass_fields__
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         weights = tmp_path / "sp.spw"
         save_weights(weights, PointNet(ARCH_PRESETS["micro"], with_descriptor=True, seed=0).store)
         assert run(["match", "--weights", str(weights), "--image-a", str(image), "--image-b", str(image),
-                    "--out", str(tmp_path / "o")] + flags) == 3
-        assert message in capsys.readouterr().err
+                    "--out", str(tmp_path / "o")] + flags) == 2
+        assert f"config key {message}" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm", "sp.spw"]
 
     def test_ransac_failure_exits_3_without_output(self, tmp_path, capsys):
@@ -343,17 +370,17 @@ class TestExitCodes:
         assert "could not draw a non-degenerate minimal sample" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags, code, message", [
-        (["--eps", "-2", "--eps-list", "1,-3"], 3, "MatchingProtocol.eps must be a finite number > 0, got -2.0"),
-        (["--eps-list", "1,-3"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got -3.0"),
-        (["--eps-list", "1,inf"], 3, "MatchingProtocol.eps_list entries must be finite numbers > 0, got inf"),
-        (["--eps-list", ""], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers, got ''"),
-        (["--eps-list", "1,,3"], 2, "--eps-list (eval_match.eps_list): expected comma-separated numbers"),
-        (["--n-points", "-1"], 3, "MatchingProtocol.n_points must be >= 0 (0 keeps every point), got -1"),
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps", "-2"], "config key eval_match.eps: must be a finite number > 0, got -2.0"),
+        (["--eps-list", "1,-3"], "config key eval_match.eps_list: each entry must be a finite number > 0, got -3.0"),
+        (["--eps-list", "1,inf"], "config key eval_match.eps_list: each entry must be a finite number > 0, got inf"),
+        (["--eps-list", ""], "config key eval_match.eps_list: cannot parse '' as distance list"),
+        (["--eps-list", "1,,3"], "config key eval_match.eps_list: cannot parse '1,,3' as distance list"),
+        (["--n-points", "-1"], "config key eval_match.n_points: must be >= 0 (0 keeps every point), got -1"),
     ])
-    def test_bad_matching_eps_rejected_before_work(self, tmp_path, capsys, flags, code, message):
+    def test_bad_matching_eps_rejected_before_work(self, tmp_path, capsys, flags, message):
         assert run(["eval-matching", "--weights", str(tmp_path / "unread.spw"), "--count", "1",
-                    "--out", str(tmp_path / "r.csv")] + flags) == code
+                    "--out", str(tmp_path / "r.csv")] + flags) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
@@ -445,6 +472,37 @@ class TestExitCodes:
         assert run(["synth", "--out", str(tmp_path / "d"), "--count", "1",
                     "--mix", "dodecahedron:1"]) == 2
 
+    @pytest.mark.parametrize("mix, message", [
+        ("star:0", "the category weights must sum to > 0, got 'star:0'"),
+        ("star:x", "the weight of star must be a finite number >= 0, got 'x'"),
+        ("star:-1,cube:2", "the weight of star must be a finite number >= 0, got '-1'"),
+        ("star:nan", "the weight of star must be a finite number >= 0, got 'nan'"),
+        ("dodecahedron:1", "unknown shape category 'dodecahedron'"),
+    ])
+    @pytest.mark.parametrize("command, section", [
+        (["synth", "--out", "{tmp}/d", "--count", "1"], "synth"),
+        (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], "train_mp"),
+    ])
+    def test_bad_mix_exits_2_before_output(self, tmp_path, capsys, command, section, mix, message):
+        assert run([arg.format(tmp=tmp_path) for arg in command] + ["--mix", mix]) == 2
+        assert f"config key {section}.mix: {message}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command, key", [
+        (["adapt-label", "--images", "{tmp}/data", "--weights", "harris", "--out", "{tmp}/labels", "--nh", "2",
+          "--rounds", "2"], "adapt.arch"),
+        (["train-superpoint", "--images", "{tmp}/data", "--labels", "{tmp}/data", "--out", "{tmp}/sp.spw"],
+         "train_sp.arch"),
+    ])
+    def test_unknown_arch_exits_2_before_reading_or_writing(self, tmp_path, capsys, monkeypatch, command, key):
+        assert run(["synth", "--out", str(tmp_path / "data"), "--count", "2"]) == 0
+        data = tree_bytes(tmp_path / "data")
+        monkeypatch.setattr(im, "read_pgm", lambda path: pytest.fail("an image was read"))
+        assert run([arg.format(tmp=tmp_path) for arg in command] + ["--arch", "bogus"]) == 2
+        assert f"config key {key}: must be one of micro, full, got 'bogus'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["data"]
+        assert tree_bytes(tmp_path / "data") == data
+
 
 def test_readme_command_table_names_every_subcommand():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
@@ -453,6 +511,53 @@ def test_readme_command_table_names_every_subcommand():
              for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
     commands = [n for name, aliases, *_ in COMMANDS for n in [name, *aliases]]
     assert sorted(named) == sorted(commands)
+
+
+BAD_VALUES = {"count": "0", "budget": "-1", "radius": "nan", "distance": "0", "side": "31", "cells": "36",
+              "str": "bogus"}
+
+
+def rule_of(opt):
+    """The rule-table row of an option whose type restricts its values (a RULES type or "str"), else None."""
+    kind, *words = opt.type.split("|")
+    if kind == "str":
+        return "str" if words else None
+    item = kind.removesuffix(" list")
+    return item if item in RULES else None
+
+
+RULED = [(name, opt) for name, _, _, schema, _ in COMMANDS for opt in schema if rule_of(opt)]
+
+
+@pytest.mark.parametrize("command, opt", RULED, ids=[f"{name}-{opt.key}" for name, opt in RULED])
+def test_bad_value_exits_2_before_work(tmp_path, capsys, command, opt):
+    schema = next(schema for name, _, _, schema, _ in COMMANDS if name == command)
+    argv = [command]
+    for required in (o for o in schema if o.default is REQUIRED):
+        argv += [required.flag, str(tmp_path / required.key)]
+    bad = BAD_VALUES[rule_of(opt)]
+    assert run(argv + [opt.flag, "1," + bad if opt.type.endswith(" list") else bad]) == 2
+    out, err = capsys.readouterr()
+    assert f"config key {opt.key}: " in err and out == ""
+    assert os.listdir(tmp_path) == []
+
+
+def test_readme_rule_table_matches_the_schema():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        table = f.read().split("| type | a value must be | keys |", 1)[1].split("\n\n", 1)[0]
+    rules, keys, words = {}, {}, {}
+    for row in table.splitlines()[2:]:
+        kind, rule, names = (cell.strip() for cell in row.strip("|").split("|"))
+        kind = re.findall(r"`([^`]+)`", kind)[0]
+        rules[kind] = rule
+        keys[kind] = {n for n in re.findall(r"`([^`]+)`", names) if "." in n}
+        words[kind] = {n for n in re.findall(r"`([^`]+)`", names) if "." not in n}
+    schema_keys = {}
+    for _, opt in RULED:
+        schema_keys.setdefault(rule_of(opt), set()).add(opt.key)
+    assert keys == schema_keys
+    assert {kind: rules[kind] for kind in RULES} == {kind: rule for kind, (_, _, rule) in RULES.items()}
+    assert words["str"] == {w for _, opt in RULED if rule_of(opt) == "str" for w in opt.type.split("|")[1:]}
 
 
 class TestNoiseExperimentData:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from pointpipe import classical as cl
 from pointpipe import cli
 from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
@@ -883,9 +884,14 @@ class TestRansacParams:
         ("max_iters", 0), ("max_iters", -5), ("threshold", 0.0), ("threshold", -1.0),
         ("threshold", float("nan")), ("threshold", float("inf")),
     ])
-    def test_rejects_named_field(self, field, value):
-        with pytest.raises(ValueError, match=f"RansacParams.{field}"):
-            ev.RansacParams(**{field: value})
+    def test_rejects_named_field(self, tmp_path, capsys, field, value):
+        """The match setting that fills the field rejects the value before any file is read or written."""
+        key = {"max_iters": "match.ransac_iters", "threshold": "match.ransac_threshold"}[field]
+        assert cli.main(["match", "--weights", str(tmp_path / "unread.spw"), "--image-a", "a.pgm",
+                         "--image-b", "b.pgm", "--out", str(tmp_path / "o"),
+                         "--" + key.split(".")[1].replace("_", "-"), str(value)]) == 2
+        assert f"config key {key}: must be " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestHomographyCorrectness:
@@ -902,22 +908,10 @@ class TestHomographyCorrectness:
 
 
 class TestDetectorProtocol:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"nms_radius": float("nan")}, "DetectorProtocol.nms_radius must be a number >= 0, got nan"),
-        ({"nms_radius": -1.0}, "DetectorProtocol.nms_radius must be a number >= 0, got -1.0"),
-        ({"eps": float("nan")}, "DetectorProtocol.eps must be a finite number > 0, got nan"),
-        ({"eps": math.inf}, "DetectorProtocol.eps must be a finite number > 0, got inf"),
-        ({"eps": 0.0}, "DetectorProtocol.eps must be a finite number > 0, got 0.0"),
-    ])
-    def test_rejects(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ev.DetectorProtocol(**kwargs)
-
     def test_infinite_radius_keeps_the_top_point(self):
-        protocol = ev.DetectorProtocol(nms_radius=math.inf)
         pts = np.array([[1.0, 2.0, 0.3], [50.0, 60.0, 0.9], [9.0, 9.0, 0.5]])
-        np.testing.assert_array_equal(ev.select_points(pts, protocol), pts[[1]])
-        assert len(ev.select_points(pts, ev.DetectorProtocol(nms_radius=0.0))) == 3
+        np.testing.assert_array_equal(cl.select_points(pts, math.inf), pts[[1]])
+        assert len(cl.select_points(pts, 0.0)) == 3
 
 
 class TestBenchmarks:
