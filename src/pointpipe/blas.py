@@ -3,9 +3,10 @@
 OpenBLAS spreads a GEMM over every core by default.  When two or more Python
 threads run GEMMs at once (the two warps in flight of
 ``adaptation.adapt``, the workers of ``cli.parallel_map``), their BLAS
-threads then compete for the same cores: on two cores a micro
-``exp-nh-sweep`` (10 images at 240x320, nh 1, 10, 100) took 140 s, against
-114 s for one sequential loop and 75 s with one BLAS thread.  OpenBLAS
+threads then compete for the same cores: on two cores the learned rows of
+a ``reproduce`` nh table (a micro detector, 10 images at 240x320, nh 1, 10,
+100) took 140 s, against 114 s for one sequential loop and 75 s with one
+BLAS thread.  OpenBLAS
 splits a GEMM's rows and columns over its threads, not its sums, and the
 outputs were the same bytes either way on scipy-openblas 0.3.31.
 """

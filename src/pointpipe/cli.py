@@ -2,7 +2,8 @@
 
 Subcommands cover dataset dumping, detector pretraining, self-labeling,
 joint training, detection/matching on files, the benchmark protocols, and
-the noise/blob/warp-count experiment sweeps.  Every option can come from a
+``reproduce``, which runs the paper's noise, blob and warp-count experiments
+at fixed settings.  Every option can come from a
 ``--config`` file (section.key = value) or a flag; flags win.  An option's
 type states the values it accepts (see ``config``), so every setting is
 checked before a subcommand starts; the subcommands check only what depends
@@ -50,6 +51,13 @@ from .neural.training import LossLog, train_detector_on_labels
 CLASSICAL_NAMES = ("harris", "shi", "fast")
 ARCH_TYPE = "|".join(("str", *ARCH_PRESETS))
 PRESET_TYPE = "|".join(("str", *geo.PRESETS))
+
+# the fixed settings of ``reproduce``
+PROTOCOL = ev.DetectorProtocol(n_points=300, eps=3.0, nms_radius=4.0)
+NOISE_SHAPE = (96, 96)
+COMPOSITE_SHAPE = (240, 320)
+THRESHOLD = 0.015
+NH_LIST = (1, 10, 100)
 
 
 def parallel_map(fn, items, threads):
@@ -137,6 +145,8 @@ def parse_mix(key: str, text: str):
             cat = sd.ShapeCategory(name.strip())
         except ValueError:
             raise ConfigError(f"config key {key}: unknown shape category {name.strip()!r}") from None
+        if cat in mix:
+            raise ConfigError(f"config key {key}: category {cat.value} is given twice")
         try:
             mix[cat] = float(weight) if weight else 1.0
             if not (math.isfinite(mix[cat]) and mix[cat] >= 0.0):
@@ -157,7 +167,7 @@ def composite_images(count, shape, seed):
 
 
 def pair_options(section, count, height, width, n_points):
-    """The settings of a warped-pair benchmark (eval-detector, eval-matching, exp-nh-sweep)."""
+    """The settings of a warped-pair benchmark (eval-detector, eval-matching)."""
     return [
         Option(f"{section}.images", "path", "composites", "image dir or 'composites'"),
         Option(f"{section}.count", "count", count),
@@ -166,23 +176,19 @@ def pair_options(section, count, height, width, n_points):
         Option(f"{section}.n_points", "budget", n_points),
         Option(f"{section}.eps", "distance", 3.0),
         Option(f"{section}.nms", "radius", 4.0),
-        Option(f"{section}.threshold", "float", 0.015),
+        Option(f"{section}.threshold", "threshold", 0.015),
         Option(f"{section}.out", "path", help="output CSV"),
         Option(f"{section}.seed", "int", 0),
     ]
 
 
-def pair_benchmark(cfg, section, preset="training"):
-    """(DetectorProtocol, warped pairs) of a pair_options section."""
-    protocol = ev.DetectorProtocol(n_points=cfg[f"{section}.n_points"], eps=cfg[f"{section}.eps"],
-                                   nms_radius=cfg[f"{section}.nms"])
-    ranges = geo.ranges_preset(preset)
-    seed, count, source = cfg[f"{section}.seed"], cfg[f"{section}.count"], cfg[f"{section}.images"]
+def pair_benchmark(source, count, shape, seed, preset="training"):
+    """Warped pairs of the first ``count`` images of a directory, or of ``count`` composites of ``shape``."""
     if source == "composites":
-        images = composite_images(count, (cfg[f"{section}.height"], cfg[f"{section}.width"]), seed)
+        images = composite_images(count, shape, seed)
     else:
         images = [im.read_pgm(p) for p in list_images(source)[:count]]
-    return protocol, ev.warped_pair_dataset(images, ranges, seed=seed)
+    return ev.warped_pair_dataset(images, geo.ranges_preset(preset), seed=seed)
 
 
 def parse_detectors(text, threshold):
@@ -206,13 +212,13 @@ def training_options(section, batch):
     """The settings both training commands take; train_and_save reads all but arch."""
     return [
         Option(f"{section}.out", "path", help="output .spw weight file"),
-        Option(f"{section}.iterations", "int", 2000),
-        Option(f"{section}.batch", "int", batch),
+        Option(f"{section}.iterations", "steps", 2000),
+        Option(f"{section}.batch", "count", batch),
         Option(f"{section}.arch", ARCH_TYPE, "micro", "micro or full"),
         Option(f"{section}.seed", "int", 0),
         Option(f"{section}.lr", "float", 0.001),
         Option(f"{section}.log", "path", ""),
-        Option(f"{section}.log_every", "int", 100),
+        Option(f"{section}.log_every", "count", 100),
     ]
 
 
@@ -297,7 +303,7 @@ TRAIN_MP_SCHEMA = [
     Option("train_mp.width", "cells", 96),
     Option("train_mp.mix", "str", "uniform"),
     Option("train_mp.noise", "bool", True),
-    Option("train_mp.checkpoint_every", "int", 0),
+    Option("train_mp.checkpoint_every", "steps", 0),
 ]
 
 
@@ -311,7 +317,6 @@ def cmd_adapt_label(cfg):
     rounds = cfg["adapt.rounds"]
     seed = cfg["adapt.seed"]
     retrains = rounds > 1 or cfg["adapt.retrain_final"]
-    # retraining settings are checked before the first round writes anything
     train_cfg = TrainConfig(iterations=cfg["adapt.train_iterations"], batch_size=cfg["adapt.train_batch"])
     crop = cfg["adapt.crop"]
     side = min(min(img.shape) for img in images)
@@ -349,13 +354,13 @@ ADAPT_SCHEMA = [
     Option("adapt.out", "path", help="label output directory"),
     Option("adapt.nh", "count", 100, "number of homographies (identity included)"),
     Option("adapt.rounds", "count", 1),
-    Option("adapt.threshold", "float", 0.015),
+    Option("adapt.threshold", "threshold", 0.015),
     Option("adapt.nms", "radius", 4.0),
     Option("adapt.top_k", "budget", 0),
     Option("adapt.arch", ARCH_TYPE, "micro"),
     Option("adapt.crop", "int", 96, "training crop for the per-round retrain"),
-    Option("adapt.train_iterations", "int", 1000),
-    Option("adapt.train_batch", "int", 8),
+    Option("adapt.train_iterations", "steps", 1000),
+    Option("adapt.train_batch", "count", 8),
     Option("adapt.retrain_final", "bool", False, "retrain even when rounds=1"),
     Option("adapt.seed", "int", 0),
 ]
@@ -420,7 +425,7 @@ DETECT_SCHEMA = [
     Option("detect.input", "path", help="image file or directory"),
     detector_option("detect.weights", ".spw file or harris/shi/fast"),
     Option("detect.out", "path", help="output directory"),
-    Option("detect.threshold", "float", 0.015),
+    Option("detect.threshold", "threshold", 0.015),
     Option("detect.nms", "radius", 4.0),
     Option("detect.top_k", "budget", 0),
     Option("detect.threads", "count", 1, "worker threads for per-image work"),
@@ -454,7 +459,7 @@ MATCH_SCHEMA = [
     Option("match.image_a", "path"),
     Option("match.image_b", "path"),
     Option("match.out", "path", help="output directory"),
-    Option("match.threshold", "float", 0.015),
+    Option("match.threshold", "threshold", 0.015),
     Option("match.nms", "radius", 4.0),
     Option("match.top_k", "budget", 1000),
     Option("match.ransac_threshold", "distance", 3.0),
@@ -465,7 +470,11 @@ MATCH_SCHEMA = [
 
 def cmd_eval_detector(cfg):
     detectors = parse_detectors(cfg["eval_det.detectors"], cfg["eval_det.threshold"])
-    protocol, pairs = pair_benchmark(cfg, "eval_det", cfg["eval_det.preset"])
+    protocol = ev.DetectorProtocol(n_points=cfg["eval_det.n_points"], eps=cfg["eval_det.eps"],
+                                   nms_radius=cfg["eval_det.nms"])
+    pairs = pair_benchmark(cfg["eval_det.images"], cfg["eval_det.count"],
+                           (cfg["eval_det.height"], cfg["eval_det.width"]), cfg["eval_det.seed"],
+                           cfg["eval_det.preset"])
     reports = ev.run_detector_benchmark(detectors, pairs, protocol, seed=cfg["eval_det.seed"])
     ev.write_detector_report_csv(cfg["eval_det.out"], reports)
     print(ev.format_detector_table(reports))
@@ -488,7 +497,8 @@ def cmd_eval_matching(cfg):
         cfg["eval_match.n_points"],
         random_desc_seed=seed if cfg["eval_match.random_descriptors"] else None,
     )
-    _, pairs = pair_benchmark(cfg, "eval_match", cfg["eval_match.preset"])
+    pairs = pair_benchmark(cfg["eval_match.images"], cfg["eval_match.count"],
+                           (cfg["eval_match.height"], cfg["eval_match.width"]), seed, cfg["eval_match.preset"])
     report = ev.run_matching_benchmark(system, pairs, protocol)
     ev.write_matching_report_csv(cfg["eval_match.out"], report)
     print(ev.format_matching_table(report))
@@ -504,117 +514,96 @@ EVAL_MATCH_SCHEMA = [
 ]
 
 
-def _noise_experiment(cfg, column, conditions, corrupt):
-    """Write mAP/MLE per (condition, detector) on corrupted clean samples.
-
-    ``conditions`` is a list of (CSV label, condition); ``corrupt(condition,
-    i, image)`` returns sample i's image under that condition.  Returns the
-    number of rows written.
-    """
-    eps = cfg["exp_noise.eps"]
-    stream_cfg = sd.StreamConfig(height=cfg["exp_noise.height"], width=cfg["exp_noise.width"], noise=False)
-    seed = cfg["exp_noise.seed"]
+def noise_samples(count, seed):
+    """``count`` clean shapes of NOISE_SHAPE that no training stream draws."""
+    stream_cfg = sd.StreamConfig(height=NOISE_SHAPE[0], width=NOISE_SHAPE[1], noise=False)
     # sample_at draws sample i of a stream from the key (seed, i); the spawn key 0x5E makes these keys
     # five words long, so no stream whose seed and index fit in 32 bits draws an evaluation shape
-    keys = [np.random.SeedSequence((seed, i), spawn_key=(0x5E,)) for i in range(cfg["exp_noise.count"])]
-    samples = [sd.sample_from(stream_cfg, np.random.default_rng(key)) for key in keys]
-    detectors = parse_detectors(cfg["exp_noise.detectors"], cfg["exp_noise.threshold"])
+    keys = [np.random.SeedSequence((seed, i), spawn_key=(0x5E,)) for i in range(count)]
+    return [sd.sample_from(stream_cfg, np.random.default_rng(key)) for key in keys]
+
+
+def _noise_experiment(samples, detectors, conditions, corrupt):
+    """(condition label, detector, mAP, MLE) rows on the samples under each condition.
+
+    ``conditions`` is a list of (CSV label, condition); ``corrupt(condition,
+    i, image)`` returns sample i's image under that condition.
+    """
     rows = []
     for label, condition in conditions:
         corrupted = [sd.ShapeSample(corrupt(condition, i, s.image), s.points, s.category)
                      for i, s in enumerate(samples)]
         for name, det in detectors.items():
-            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, eps)
+            mapv, mle, _ = ev.detector_gt_metrics(det, corrupted, PROTOCOL.eps)
             rows.append((label, name, f"{mapv:.6f}", f"{mle:.6f}"))
-    write_csv(cfg["exp_noise.out"], [column, "detector", "map", "mle"], rows)
-    return len(rows)
+    return rows
 
 
-def cmd_exp_noise_sweep(cfg):
-    seed = cfg["exp_noise.seed"]
+def square_sweep(heatmap):
+    """(width, center confidence, corner confidence) rows of a square of each odd width 3..91."""
+    rows = []
+    for width in range(3, 92, 2):
+        sample = sd.render_square(width)
+        heat = heatmap(sample.image)
+
+        def peak(p):
+            x0, y0 = int(np.floor(p[0])), int(np.floor(p[1]))
+            return float(heat[y0 : y0 + 2, x0 : x0 + 2].max())
+
+        rows.append((width, f"{peak(sample.points[4, :2]):.6f}", f"{peak(sample.points[0, :2]):.6f}"))
+    return rows
+
+
+def adapted_detector(base, nh, seed):
+    """callable(image) -> every point of base's response averaged over nh warps, drawn per image."""
+    adapt_cfg = ad.AdaptConfig(n_homographies=nh)
+    return lambda img: cl.threshold_points(ad.adapt(base, img, adapt_cfg, seed=zlib.crc32(img.tobytes()) ^ seed),
+                                           -np.inf)
+
+
+def cmd_reproduce(cfg):
+    out, seed = cfg["reproduce.out"], cfg["reproduce.seed"]
+    learned = load_model(cfg["reproduce.weights"]).heatmap
+    points = {"learned": lambda img: cl.threshold_points(learned(img), THRESHOLD),
+              **{name: candidate_detector(name, THRESHOLD) for name in CLASSICAL_NAMES}}
+    dense = {"learned": learned, **{name: heatmap_detector(name) for name in ("harris", "shi")}}
+    samples = noise_samples(cfg["reproduce.samples"], seed)
+    pairs = pair_benchmark(cfg["reproduce.images"], cfg["reproduce.pairs"], COMPOSITE_SHAPE, seed)
+    os.makedirs(out, exist_ok=True)
+
+    def table(name, header, rows):
+        write_csv(os.path.join(out, name), header, rows)
+        print(f"{name} ({len(rows)} rows) -> {out}")
 
     def blend(s, i, image):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x8B, i)))
         noisy = im.apply_noise_battery(image, rng)
         return im.noise_blend(image, noisy, rng.random(image.shape).astype(np.float32), s)
 
-    grid = [(f"{s:.2f}", float(s)) for s in np.arange(0.0, 2.0 + 1e-9, 0.25)]
-    n = _noise_experiment(cfg, "s", grid, blend)
-    print(f"noise sweep ({n} rows) -> {cfg['exp_noise.out']}")
-
-
-EXP_NOISE_SCHEMA = [
-    Option("exp_noise.detectors", "str", help="comma list: name[:weights]"),
-    Option("exp_noise.count", "count", 100),
-    Option("exp_noise.height", "side", 96),
-    Option("exp_noise.width", "side", 96),
-    Option("exp_noise.eps", "distance", 3.0),
-    Option("exp_noise.threshold", "float", 0.015),
-    Option("exp_noise.out", "path", help="output CSV"),
-    Option("exp_noise.seed", "int", 0),
-]
-
-
-def cmd_exp_noise_types(cfg):
-    seed = cfg["exp_noise.seed"]
-
     def add(kind, i, image):
         spec_seed = int(np.random.SeedSequence((seed, 0x9C, i)).generate_state(1)[0])
         return im.add_noise(image, im.NoiseSpec(kind, im.DEFAULT_MAGNITUDES[kind], seed=spec_seed))
 
-    n = _noise_experiment(cfg, "kind", [(kind, kind) for kind in im.NOISE_KINDS], add)
-    print(f"noise-type table ({n} rows) -> {cfg['exp_noise.out']}")
-
-
-def cmd_exp_square_sweep(cfg):
-    model = load_model(cfg["exp_square.weights"])
+    grid = [(f"{s:.2f}", float(s)) for s in np.arange(0.0, 2.0 + 1e-9, 0.25)]
+    table("noise_sweep.csv", ["s", "detector", "map", "mle"], _noise_experiment(samples, points, grid, blend))
+    table("noise_types.csv", ["kind", "detector", "map", "mle"],
+          _noise_experiment(samples, points, [(kind, kind) for kind in im.NOISE_KINDS], add))
+    table("square_sweep.csv", ["width", "center_confidence", "corner_confidence"], square_sweep(learned))
     rows = []
-    for width in range(3, 92, 2):
-        sample = sd.render_square(width)
-        heat = model.heatmap(sample.image)
-        tl = sample.points[0, :2]
-        center = sample.points[4, :2]
-
-        def peak(p):
-            x0, y0 = int(np.floor(p[0])), int(np.floor(p[1]))
-            return float(heat[y0 : y0 + 2, x0 : x0 + 2].max())
-
-        rows.append((width, f"{peak(center):.6f}", f"{peak(tl):.6f}"))
-    write_csv(cfg["exp_square.out"], ["width", "center_confidence", "corner_confidence"], rows)
-    print(f"square sweep (widths 3..91) -> {cfg['exp_square.out']}")
+    for nh in NH_LIST:
+        detectors = {name: adapted_detector(base, nh, seed) for name, base in dense.items()}
+        reports = ev.run_detector_benchmark(detectors, pairs, PROTOCOL, include_random=False)
+        rows += [(nh, name, f"{report.repeatability:.6f}") for name, report in reports.items()]
+    table("nh_sweep.csv", ["n_homographies", "detector", "repeatability"], rows)
 
 
-EXP_SQUARE_SCHEMA = [
-    Option("exp_square.weights", "path", help=".spw weight file"),
-    Option("exp_square.out", "path", help="output CSV"),
-]
-
-
-def cmd_exp_nh_sweep(cfg):
-    seed = cfg["exp_nh.seed"]
-    protocol, pairs = pair_benchmark(cfg, "exp_nh")
-    base = heatmap_detector(cfg["exp_nh.weights"])
-    rows = []
-    for nh in cfg["exp_nh.nh_list"]:
-        adapt_cfg = ad.AdaptConfig(n_homographies=nh, detect_threshold=cfg["exp_nh.threshold"])
-
-        def detector(img, _cfg=adapt_cfg):
-            per_image = zlib.crc32(img.tobytes()) ^ seed
-            hm = ad.adapt(base, img, _cfg, seed=per_image)
-            return cl.threshold_points(hm, -np.inf)
-
-        repeatability = ev.run_detector_benchmark({"adapted": detector}, pairs, protocol,
-                                                  include_random=False)["adapted"].repeatability
-        print(f"nh={nh}: repeatability {repeatability:.3f}")
-        rows.append((nh, f"{repeatability:.6f}"))
-    write_csv(cfg["exp_nh.out"], ["n_homographies", "repeatability"], rows)
-    print(f"warp-count sweep -> {cfg['exp_nh.out']}")
-
-
-EXP_NH_SCHEMA = [
-    detector_option("exp_nh.weights", ".spw file or harris/shi"),
-    Option("exp_nh.nh_list", "count list", "1,10,100"),
-    *pair_options("exp_nh", count=20, height=240, width=320, n_points=300),
+REPRODUCE_SCHEMA = [
+    Option("reproduce.weights", "path", help=".spw weight file of the learned detector"),
+    Option("reproduce.out", "path", help="output directory of the four CSVs"),
+    Option("reproduce.images", "path", "composites", "image dir or 'composites' for the nh table's pairs"),
+    Option("reproduce.samples", "count", 100, "clean shapes per noise condition"),
+    Option("reproduce.pairs", "count", 20, "warped pairs per nh"),
+    Option("reproduce.seed", "int", 0),
 ]
 
 
@@ -627,10 +616,7 @@ COMMANDS = [
     ("match", [], "match two images and estimate their homography", MATCH_SCHEMA, cmd_match),
     ("eval-detector", [], "repeatability benchmark over warped pairs", EVAL_DET_SCHEMA, cmd_eval_detector),
     ("eval-matching", [], "full matching benchmark over warped pairs", EVAL_MATCH_SCHEMA, cmd_eval_matching),
-    ("exp-noise-sweep", [], "mAP/MLE vs noise blend strength", EXP_NOISE_SCHEMA, cmd_exp_noise_sweep),
-    ("exp-noise-types", [], "mAP/MLE per noise kind", EXP_NOISE_SCHEMA, cmd_exp_noise_types),
-    ("exp-square-sweep", [], "blob vs corner confidence over square widths", EXP_SQUARE_SCHEMA, cmd_exp_square_sweep),
-    ("exp-nh-sweep", [], "repeatability vs warp count", EXP_NH_SCHEMA, cmd_exp_nh_sweep),
+    ("reproduce", [], "the paper's noise, blob and warp-count experiments", REPRODUCE_SCHEMA, cmd_reproduce),
 ]
 
 

@@ -29,10 +29,12 @@ REQUIRED = object()
 RULES = {
     "count": (int, lambda v: v >= 1, ">= 1"),
     "budget": (int, lambda v: v >= 0, ">= 0 (0 keeps every point)"),
+    "steps": (int, lambda v: v >= 0, ">= 0"),
     "radius": (float, lambda v: v >= 0.0, "a number >= 0"),
     "distance": (float, lambda v: math.isfinite(v) and v > 0.0, "a finite number > 0"),
     "side": (int, lambda v: v >= 32, ">= 32"),
     "cells": (int, lambda v: v >= 32 and v % 8 == 0, ">= 32 and a multiple of 8"),
+    "threshold": (float, math.isfinite, "a finite number"),
 }
 
 

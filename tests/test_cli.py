@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config handling, artifact reproducibility."""
 
+import hashlib
 import os
 import re
 
@@ -15,6 +16,9 @@ from pointpipe import synthdata as sd
 from pointpipe.cli import COMMANDS, main
 from pointpipe.config import REQUIRED, RULES, ConfigError, Option, parse_config_file, resolve
 from pointpipe.neural import ARCH_PRESETS, PointNet, save_weights
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures")
 
 
 def run(argv):
@@ -103,6 +107,8 @@ class TestConfigMachinery:
         ("count list", ["1", "1,10,100"], ["1,0", "-1"]),
         ("distance list", ["3", "1,3,5"], ["1,inf", "0"]),
         ("str|micro|full", ["micro", "full"], ["bogus", "", "Micro"]),
+        ("threshold", ["0.015", "0", "-2"], ["nan", "inf", "-inf"]),
+        ("steps", ["0", "2000"], ["-1"]),
     ])
     def test_each_rule_at_its_edges(self, kind, accepted, rejected):
         schema = [Option("s.v", kind)]
@@ -183,14 +189,14 @@ class TestExitCodes:
         assert f"ValueError: {weights}: tensor 'enc3.w' holds a NaN or infinite value" in err, err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm", "nan.spw"]
 
-    def test_bad_retraining_settings_exit_3_before_labeling(self, tmp_path, capsys):
+    def test_bad_retraining_settings_exit_2_before_labeling(self, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
         im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
         out = tmp_path / "labels"
         assert run(["adapt-label", "--images", str(images), "--weights", "harris", "--out", str(out),
-                    "--nh", "2", "--rounds", "2", "--train-batch", "0"]) == 3
-        assert "TrainConfig.batch_size must be >= 1, got 0" in capsys.readouterr().err
+                    "--nh", "2", "--rounds", "2", "--train-batch", "0"]) == 2
+        assert "config key adapt.train_batch: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("crop", ["92", "128", "0"])
@@ -208,7 +214,7 @@ class TestExitCodes:
         # without a retrain the crop is unused
         assert run(argv + ["--rounds", "1"]) == 0
 
-    def test_zero_rounds_exit_3_without_output(self, tmp_path, capsys):
+    def test_zero_rounds_exit_2_without_output(self, tmp_path, capsys):
         images = tmp_path / "images"
         images.mkdir()
         im.write_pgm(images / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
@@ -218,19 +224,7 @@ class TestExitCodes:
         assert "config key adapt.rounds: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("nh_list, message", [
-        ("1,x", "config key exp_nh.nh_list: cannot parse '1,x' as count list"),
-        ("1,0", "config key exp_nh.nh_list: each entry must be >= 1, got 0"),
-    ])
-    def test_bad_nh_list_rejected_before_work(self, tmp_path, capsys, nh_list, message):
-        assert run(["exp-nh-sweep", "--weights", "harris", "--count", "1", "--height", "48", "--width", "48",
-                    "--nh-list", nh_list, "--out", str(tmp_path / "nh.csv")]) == 2
-        out, err = capsys.readouterr()
-        assert message in err
-        assert out == ""
-        assert os.listdir(tmp_path) == []
-
-    def test_negative_point_budget_exits_3(self, tmp_path, capsys):
+    def test_negative_point_budget_exits_2(self, tmp_path, capsys):
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         commands = [["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o"),
@@ -242,7 +236,7 @@ class TestExitCodes:
             assert f"config key {key}: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
-    def test_nan_nms_radius_exits_3_without_output(self, tmp_path, capsys):
+    def test_nan_nms_radius_exits_2_without_output(self, tmp_path, capsys):
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         commands = [
@@ -270,7 +264,7 @@ class TestExitCodes:
         assert f"config key {key}: must be a number >= 0, got {shown}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_negative_match_budget_exits_3_before_loading(self, tmp_path, capsys):
+    def test_negative_match_budget_exits_2_before_loading(self, tmp_path, capsys):
         assert run(["match", "--weights", str(tmp_path / "unread.spw"), "--image-a", "a.pgm", "--image-b", "b.pgm",
                     "--out", str(tmp_path / "o"), "--top-k", "-1"]) == 2
         assert "config key match.top_k: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
@@ -286,7 +280,7 @@ class TestExitCodes:
         (["train-magicpoint", "--out", "{tmp}/w/mp.spw", "--iterations", "1"], ["--width", "24"],
          "config key train_mp.width: must be >= 32 and a multiple of 8, got 24"),
     ])
-    def test_bad_image_size_exits_3_before_output(self, tmp_path, capsys, command, flags, message):
+    def test_bad_image_size_exits_2_before_output(self, tmp_path, capsys, command, flags, message):
         assert run([arg.format(tmp=tmp_path) for arg in command] + flags) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -317,16 +311,7 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "config key detect.threads: must be >= 1, got 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["exp-noise-sweep", "exp-noise-types"])
-    @pytest.mark.parametrize("eps, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf")])
-    def test_bad_noise_eps_exits_3_before_rendering(self, tmp_path, capsys, monkeypatch, command, eps, shown):
-        monkeypatch.setattr(sd, "sample_from", lambda *args: pytest.fail("a shape was rendered"))
-        assert run([command, "--detectors", "harris", "--count", "2", "--eps", eps,
-                    "--out", str(tmp_path / "r.csv")]) == 2
-        assert f"config key exp_noise.eps: must be a finite number > 0, got {shown}" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
-
-    def test_negative_label_budget_exits_3_before_adapting(self, tmp_path, capsys, monkeypatch):
+    def test_negative_label_budget_exits_2_before_adapting(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cl, "harris", lambda image: pytest.fail("the detector ran"))
         images = tmp_path / "images"
         images.mkdir()
@@ -345,7 +330,7 @@ class TestExitCodes:
         (["--ransac-threshold", "nan"], "RansacParams.threshold",
          "match.ransac_threshold: must be a finite number > 0, got nan"),
     ])
-    def test_bad_ransac_settings_exit_3_before_output(self, tmp_path, capsys, flags, field, message):
+    def test_bad_ransac_settings_exit_2_before_output(self, tmp_path, capsys, flags, field, message):
         # the match setting that fills the RansacParams field rejects the value with exit 2,
         # even with a readable weight file and images, and nothing is written
         assert field.split(".")[1] in ev.RansacParams.__dataclass_fields__
@@ -385,41 +370,41 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command, value", [
-        (["synth", "--out", "{tmp}/s"], "-3"),
-        (["eval-detector", "--detectors", "harris", "--out", "{tmp}/r.csv"], "-2"),
-        (["eval-detector", "--detectors", "harris", "--images", "{tmp}", "--out", "{tmp}/r.csv"], "-1"),
-        (["eval-matching", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/r.csv"], "0"),
-        (["exp-noise-sweep", "--detectors", "harris", "--out", "{tmp}/r.csv"], "-1"),
-        (["exp-noise-types", "--detectors", "harris", "--out", "{tmp}/r.csv"], "0"),
-        (["exp-nh-sweep", "--weights", "harris", "--out", "{tmp}/r.csv"], "-1"),
+        (["synth", "--out", "{tmp}/s", "--count"], "-3"),
+        (["eval-detector", "--detectors", "harris", "--out", "{tmp}/r.csv", "--count"], "-2"),
+        (["eval-detector", "--detectors", "harris", "--images", "{tmp}", "--out", "{tmp}/r.csv", "--count"], "-1"),
+        (["eval-matching", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/r.csv", "--count"], "0"),
+        (["reproduce", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/o", "--samples"], "-1"),
+        (["reproduce", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/o", "--pairs"], "0"),
+        (["reproduce", "--weights", "{tmp}/unread.spw", "--out", "{tmp}/o", "--images", "{tmp}", "--pairs"], "-1"),
     ])
     def test_counts_below_one_exit_2(self, tmp_path, capsys, command, value):
         section = {"synth": "synth", "eval-detector": "eval_det", "eval-matching": "eval_match",
-                   "exp-noise-sweep": "exp_noise", "exp-noise-types": "exp_noise", "exp-nh-sweep": "exp_nh"}
+                   "reproduce": "reproduce"}
         im.write_pgm(tmp_path / "a.pgm", np.zeros((16, 16), dtype=np.float32))
-        argv = [arg.format(tmp=tmp_path) for arg in command] + ["--count", value]
-        assert run(argv) == 2
-        assert f"config key {section[command[0]]}.count: must be >= 1, got {value}" in capsys.readouterr().err
+        assert run([arg.format(tmp=tmp_path) for arg in command] + [value]) == 2
+        key = f"{section[command[0]]}.{command[-1].removeprefix('--')}"
+        assert f"config key {key}: must be >= 1, got {value}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["a.pgm"]
 
     @pytest.mark.parametrize("command, section", [
-        (["eval-detector", "--detectors", "harris"], "eval_det"),
-        (["exp-nh-sweep", "--weights", "harris", "--nh-list", "1,2"], "exp_nh"),
+        (["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
+          "--n-points", "20"], "eval_det"),
+        (["reproduce", "--weights", os.path.join(FIXTURES, "detector.spw"), "--samples", "1", "--pairs", "1"],
+         "reproduce"),
     ])
-    def test_composites_from_config_file_equal_the_flag(self, tmp_path, command, section):
+    def test_composites_from_config_file_equal_the_flag(self, tmp_path, monkeypatch, command, section):
+        monkeypatch.setattr(cli, "NH_LIST", (1,))  # one warp count keeps the reproduce run short
         config = tmp_path / "run.cfg"
         config.write_text(f"{section}.images = composites\n")
-        flags = ["--count", "1", "--height", "48", "--width", "48", "--n-points", "20"]
-        assert run(command + flags + ["--config", str(config), "--out", str(tmp_path / "file.csv")]) == 0
-        assert run(command + flags + ["--images", "composites", "--out", str(tmp_path / "flag.csv")]) == 0
-        assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+        assert run(command + ["--config", str(config), "--out", str(tmp_path / "file")]) == 0
+        assert run(command + ["--images", "composites", "--out", str(tmp_path / "flag")]) == 0
+        assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "flag")
 
     @pytest.mark.parametrize("command, section, word", [
         (["detect", "--input", "{tmp}/images"], "detect", "harris"),
         (["detect", "--input", "{tmp}/images/a.pgm"], "detect", "fast"),
         (["adapt-label", "--images", "{tmp}/images", "--nh", "2"], "adapt", "shi"),
-        (["exp-nh-sweep", "--nh-list", "1,2", "--count", "1", "--height", "48", "--width", "48",
-          "--n-points", "20"], "exp_nh", "harris"),
     ])
     def test_detector_words_from_config_file_equal_the_flag(self, tmp_path, command, section, word):
         (tmp_path / "images").mkdir()
@@ -434,14 +419,17 @@ class TestExitCodes:
         assert tree_bytes(tmp_path / "file") == tree_bytes(tmp_path / "flag")
 
     def test_fast_as_a_dense_map_from_config_file_exits_2_as_from_the_flag(self, tmp_path, capsys):
+        (tmp_path / "images").mkdir()
+        im.write_pgm(tmp_path / "images" / "a.pgm", sd.render_composite((48, 48), np.random.default_rng(0)).image)
         config = tmp_path / "run.cfg"
-        config.write_text("exp_nh.weights = fast\n")
-        command = ["exp-nh-sweep", "--count", "1", "--height", "48", "--width", "48", "--out", str(tmp_path / "r.csv")]
+        config.write_text("adapt.weights = fast\n")
+        command = ["adapt-label", "--images", str(tmp_path / "images"), "--out", str(tmp_path / "labels")]
         message = "config error: fast produces points, not a dense map; use harris/shi or weights"
         assert run(command + ["--config", str(config)]) == 2
         assert message in capsys.readouterr().err
         assert run(command + ["--weights", "fast"]) == 2
         assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["images", "run.cfg"]
 
     def test_detect_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         (tmp_path / "images").mkdir()
@@ -462,7 +450,9 @@ class TestExitCodes:
         assert seen == [1] * 3 and blas_threads["count"] == 8
         assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t2")
 
-    @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"]])
+    @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"],
+                                      *([name, "--help"] for name in ("exp-noise-sweep", "exp-noise-types",
+                                                                      "exp-square-sweep", "exp-nh-sweep"))])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -478,6 +468,7 @@ class TestExitCodes:
         ("star:-1,cube:2", "the weight of star must be a finite number >= 0, got '-1'"),
         ("star:nan", "the weight of star must be a finite number >= 0, got 'nan'"),
         ("dodecahedron:1", "unknown shape category 'dodecahedron'"),
+        ("star:1,star:0", "category star is given twice"),
     ])
     @pytest.mark.parametrize("command, section", [
         (["synth", "--out", "{tmp}/d", "--count", "1"], "synth"),
@@ -513,8 +504,8 @@ def test_readme_command_table_names_every_subcommand():
     assert sorted(named) == sorted(commands)
 
 
-BAD_VALUES = {"count": "0", "budget": "-1", "radius": "nan", "distance": "0", "side": "31", "cells": "36",
-              "str": "bogus"}
+BAD_VALUES = {"count": "0", "budget": "-1", "steps": "-1", "radius": "nan", "distance": "0", "side": "31",
+              "cells": "36", "threshold": "nan", "str": "bogus"}
 
 
 def rule_of(opt):
@@ -561,16 +552,12 @@ def test_readme_rule_table_matches_the_schema():
 
 
 class TestNoiseExperimentData:
-    def test_eval_shapes_are_not_training_shapes(self, tmp_path, monkeypatch):
-        scored = []
-        monkeypatch.setattr(im, "add_noise", lambda image, spec: image)
-        monkeypatch.setattr(ev, "detector_gt_metrics", lambda det, samples, eps: (scored.append(samples) or 0.0, 0.0, 0))
-        assert run(["exp-noise-types", "--detectors", "harris", "--count", "100",
-                    "--out", str(tmp_path / "kinds.csv")]) == 0
+    def test_eval_shapes_are_not_training_shapes(self):
+        scored = cli.noise_samples(100, 0)
         # shapes without points (blank or noise-only categories) are equal in any two streams
         training = {sd.sample_at(sd.StreamConfig(seed=0), i).points.tobytes() for i in range(100)} - {b""}
-        assert len(scored[0]) == 100 and len(training) > 70
-        assert not training & {s.points.tobytes() for s in scored[0]}
+        assert len(scored) == 100 and len(training) > 70
+        assert not training & {s.points.tobytes() for s in scored}
 
 
 class TestSynthCommand:
@@ -674,6 +661,21 @@ def odd_sized_image(path):
     """A 75 x 100 composite: neither side is a multiple of 8."""
     im.write_pgm(path, sd.render_composite((75, 100), np.random.default_rng(8)).image)
     return path
+
+
+DETECTOR_NAMES = ("learned", "harris", "shi", "fast")
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """The four tables of one small reproduce run: the fixture detector, 2 shapes, 2 pairs of 48 x 48 images."""
+    root = tmp_path_factory.mktemp("reproduce")
+    (root / "images").mkdir()
+    for i in range(2):
+        im.write_pgm(root / "images" / f"{i}.pgm", sd.render_composite((48, 48), np.random.default_rng(i)).image)
+    assert run(["reproduce", "--weights", os.path.join(FIXTURES, "detector.spw"), "--samples", "2", "--pairs", "2",
+                "--seed", "5", "--images", str(root / "images"), "--out", str(root / "out")]) == 0
+    return root / "out"
 
 
 class TestPipelineComposition:
@@ -783,36 +785,24 @@ class TestPipelineComposition:
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_exp_square_sweep(self, tiny_chain, tmp_path):
-        out = tmp_path / "sq.csv"
-        assert run(["exp-square-sweep", "--weights", str(tiny_chain / "mp.spw"),
-                    "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
+    def test_exp_square_sweep(self, reproduced):
+        lines = (reproduced / "square_sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "width,center_confidence,corner_confidence"
-        assert len(lines) == 1 + len(range(3, 92, 2))
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(3, 92, 2))
 
-    def test_exp_noise_types(self, tiny_chain, tmp_path):
-        out = tmp_path / "kinds.csv"
-        assert run(["exp-noise-types", "--detectors", "harris", "--count", "2",
-                    "--out", str(out), "--seed", "5"]) == 0
-        kinds = {ln.split(",")[0] for ln in out.read_text().strip().splitlines()[1:]}
-        assert kinds == set(im.NOISE_KINDS)
+    def test_exp_noise_types(self, reproduced):
+        rows = [line.split(",") for line in (reproduced / "noise_types.csv").read_text().strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[kind, name] for kind in im.NOISE_KINDS for name in DETECTOR_NAMES]
 
-    def test_exp_noise_sweep_grid(self, tiny_chain, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert run(["exp-noise-sweep", "--detectors", "harris", "--count", "2",
-                    "--out", str(out), "--seed", "5"]) == 0
-        svals = [float(ln.split(",")[0]) for ln in out.read_text().strip().splitlines()[1:]]
-        assert svals == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+    def test_exp_noise_sweep_grid(self, reproduced):
+        rows = [line.split(",") for line in (reproduced / "noise_sweep.csv").read_text().strip().splitlines()[1:]]
+        grid = ["0.00", "0.25", "0.50", "0.75", "1.00", "1.25", "1.50", "1.75", "2.00"]
+        assert [row[:2] for row in rows] == [[s, name] for s in grid for name in DETECTOR_NAMES]
 
-    def test_exp_nh_sweep(self, tiny_chain, tmp_path):
-        out = tmp_path / "nh.csv"
-        assert run(["exp-nh-sweep", "--weights", str(tiny_chain / "mp.spw"),
-                    "--count", "2", "--height", "96", "--width", "96",
-                    "--nh-list", "1,3", "--out", str(out), "--seed", "5"]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "n_homographies,repeatability"
-        assert len(lines) == 3
+    def test_exp_nh_sweep(self, reproduced):
+        rows = [line.split(",") for line in (reproduced / "nh_sweep.csv").read_text().strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[nh, name] for nh in ("1", "10", "100")
+                                             for name in ("learned", "harris", "shi")]
 
     def test_threads_flag_matches_sequential(self, tiny_chain, tmp_path):
         # the learned detector's threads share one model
@@ -823,3 +813,35 @@ class TestPipelineComposition:
             assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
             assert run(base + ["--out", str(out4), "--threads", "4"]) == 0
             assert tree_bytes(out1) == tree_bytes(out4), weights
+
+
+class TestReproduce:
+    def test_tables_keep_the_bytes_of_the_experiment_commands(self, reproduced):
+        # recorded from exp-noise-sweep, exp-noise-types (--detectors learned:W,harris,shi,fast --count 2)
+        # and exp-square-sweep at the same weights and seed, before reproduce replaced them
+        digests = {name: hashlib.sha256((reproduced / name).read_bytes()).hexdigest()
+                   for name in ("noise_sweep.csv", "noise_types.csv", "square_sweep.csv")}
+        assert digests == {
+            "noise_sweep.csv": "b09f186ab7d8565d36bbe08200602b347ed2cd7bd7ffe3c00f04061ec503f5f4",
+            "noise_types.csv": "471bda10e03b696e4df392ecd78bee556d2579d7c781dc264d886652429f143e",
+            "square_sweep.csv": "555fd187b62a69c0718a801618d52bf84f42c379db4d09809cfdce5a4e8f025e",
+        }
+        # each detector's rows are those of exp-nh-sweep --weights W, harris or shi --count 2
+        assert (reproduced / "nh_sweep.csv").read_text() == (
+            "n_homographies,detector,repeatability\n"
+            "1,learned,0.812500\n1,harris,0.895067\n1,shi,0.927254\n"
+            "10,learned,0.881888\n10,harris,0.879943\n10,shi,0.917017\n"
+            "100,learned,0.864939\n100,harris,0.911071\n100,shi,0.928689\n"
+        )
+        assert sorted(os.listdir(reproduced)) == ["nh_sweep.csv", "noise_sweep.csv", "noise_types.csv",
+                                                  "square_sweep.csv"]
+
+    def test_schema_has_six_settings(self):
+        schema = next(schema for name, _, _, schema, _ in COMMANDS if name == "reproduce")
+        assert [opt.key for opt in schema] == [f"reproduce.{key}" for key in
+                                               ("weights", "out", "images", "samples", "pairs", "seed")]
+
+    def test_bad_weights_exit_3_before_output(self, tmp_path, capsys):
+        assert run(["reproduce", "--weights", str(tmp_path / "missing.spw"), "--out", str(tmp_path / "o")]) == 3
+        assert "missing.spw" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
