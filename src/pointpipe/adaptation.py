@@ -4,20 +4,19 @@ The core operation runs a detector on many homographic warps of one image,
 un-warps every response map, and averages them.  Border pixels are divided
 by the number of warps that actually covered them, not blindly by the warp
 count, so the average is unbiased everywhere it is defined and reduces to
-the uniform mean in the interior.
+the uniform mean in the interior.  The warps run on ``blas.ordered_map``'s
+workers and are summed in warp order, so the bytes do not depend on them.
 """
 
 from __future__ import annotations
 
-import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo
-from .blas import ONE_BLAS_THREAD
+from .blas import ordered_map
 from .classical import heatmap_to_points
 from .synthdata import write_points
 
@@ -50,7 +49,9 @@ def _erode(mask: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _warped_response(detector, img: np.ndarray, ranges, seed: int, i: int):
-    """Warp i's response carried back to the image frame, and the pixels it covers."""
+    """Warp i's response carried back to the image frame, and the pixels it covers (None for warp 0, the identity)."""
+    if i == 0:
+        return np.asarray(detector(img), dtype=np.float32), None
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x4D, i)))
     h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
     hinv = geo.invert(h)
@@ -61,11 +62,6 @@ def _warped_response(detector, img: np.ndarray, ranges, seed: int, i: int):
     back, back_mask = geo.warp_image(response, hinv)
     cover_f, cover_m = geo.warp_image(valid.astype(np.float32), hinv)
     return back, back_mask & cover_m & (cover_f >= 1.0 - 1e-6)
-
-
-def _add_warp(accum: np.ndarray, count: np.ndarray, back: np.ndarray, covered: np.ndarray) -> None:
-    accum += np.where(covered, back, 0.0)
-    count += covered
 
 
 def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndarray:
@@ -81,34 +77,20 @@ def adapt(detector, img: np.ndarray, cfg: AdaptConfig, seed: int = 0) -> np.ndar
     0.  With n_homographies=1 the output is the base detector's map,
     bitwise.
 
-    Warps run two at a time: the odd ones on a helper thread, in a copy of
-    the caller's context (so ``np.errstate`` carries over), and the even
-    ones, the identity first, on the caller's thread.  The sums still take
-    every warp in order, so the result does not depend on the threads.  The
-    detector is therefore called from two threads at once and must not keep
-    per-call state; an eval-mode ``PointNet.heatmap``, ``harris`` and
-    ``shi_tomasi`` all qualify.  Meanwhile numpy's OpenBLAS runs one thread
-    per call (see ``blas.ONE_BLAS_THREAD``).
+    The detector is called from ``blas.ordered_map``'s threads at once, so it
+    must not keep per-call state; an eval-mode ``PointNet.heatmap``,
+    ``harris`` and ``shi_tomasi`` all qualify.
     """
     img = np.asarray(img, dtype=np.float32)
-    n = cfg.n_homographies
-    if n == 1:
-        return np.asarray(detector(img), dtype=np.float32)
     ranges = geo.ranges_preset("adaptation")
-    with ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=1) as helper:
-        for i in range(0, n, 2):
-            if i + 1 < n:
-                odd = helper.submit(contextvars.copy_context().run,
-                                    _warped_response, detector, img, ranges, seed, i + 1)
-            if i == 0:
-                accum = np.asarray(detector(img), dtype=np.float32).astype(np.float64)
-                count = np.ones(img.shape, dtype=np.float64)
-            else:
-                _add_warp(accum, count, *_warped_response(detector, img, ranges, seed, i))
-            if i + 1 < n:
-                _add_warp(accum, count, *odd.result())
-    out = accum / count
-    return out.astype(np.float32)
+    for i, (back, covered) in enumerate(ordered_map(lambda k: _warped_response(detector, img, ranges, seed, k),
+                                                    range(cfg.n_homographies))):
+        if i == 0:
+            accum, count = back.astype(np.float64), np.ones(img.shape, dtype=np.float64)
+        else:
+            accum += np.where(covered, back, 0.0)
+            count += covered
+    return (accum / count).astype(np.float32)
 
 
 def self_label(images, detector, cfg: AdaptConfig, rounds: int, retrain=None,

@@ -1,22 +1,19 @@
-"""numpy's OpenBLAS held at one thread per call while Python threads share the cores.
+"""The program's thread policy: one ordered map over the usable cores, numpy's OpenBLAS at one thread meanwhile.
 
-OpenBLAS spreads a GEMM over every core by default.  When two or more Python
-threads run GEMMs at once (the two warps in flight of
-``adaptation.adapt``, the workers of ``cli.parallel_map``), their BLAS
-threads then compete for the same cores: on two cores the learned rows of
-a ``reproduce`` nh table (a micro detector, 10 images at 240x320, nh 1, 10,
-100) took 140 s, against 114 s for one sequential loop and 75 s with one
-BLAS thread.  OpenBLAS
-splits a GEMM's rows and columns over its threads, not its sums, and the
-outputs were the same bytes either way on scipy-openblas 0.3.31.
+When several Python threads run GEMMs at once, OpenBLAS's own threads (one
+per core by default) compete for the same cores.  Its outputs were the same
+bytes at any thread count on scipy-openblas 0.3.31, which splits a GEMM's
+rows and columns over its threads, not its sums.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import glob
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,3 +63,31 @@ class _OneBlasThread:
 
 
 ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on: its affinity mask (``taskset``) where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ordered_map(fn, items):
+    """Yield fn(x) for each x of a sequence in item order, computing blocks of ``usable_cores()`` items at a time.
+
+    The caller computes the first item of a block while helper threads compute
+    the rest, each in a copy of the caller's context (so ``np.errstate`` holds
+    there); one core or one item runs inline.  An error from ``fn``, or from a
+    ``for`` loop over the call itself, propagates once every helper has finished.
+    """
+    workers = usable_cores()
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=workers - 1) as helpers:
+        for start in range(0, len(items), workers):
+            block = items[start : start + workers]
+            rest = [helpers.submit(contextvars.copy_context().run, fn, x) for x in block[1:]]
+            yield fn(block[0])
+            for future in rest:
+                yield future.result()

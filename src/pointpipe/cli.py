@@ -7,7 +7,8 @@ at fixed settings.  Every option can come from a
 ``--config`` file (section.key = value) or a flag; flags win.  An option's
 type states the values it accepts (see ``config``), so every setting is
 checked before a subcommand starts; the subcommands check only what depends
-on their inputs, such as ``adapt.crop`` against the image sizes.  Exit
+on their inputs, such as ``adapt.crop`` against the image sizes.  Images and
+warps run on ``blas.ordered_map``'s workers, one per usable core.  Exit
 codes: 0 success, 2 configuration error, 3 runtime or data error.
 """
 
@@ -21,7 +22,6 @@ import os
 import sys
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import evalsuite as ev
 from . import geometry as geo
 from . import imaging as im
 from . import synthdata as sd
-from .blas import ONE_BLAS_THREAD
+from .blas import ordered_map
 from .config import ConfigError, Option, parse_config_file, resolve
 from .neural import (
     ARCH_PRESETS,
@@ -51,6 +51,7 @@ from .neural.training import LossLog, train_detector_on_labels
 CLASSICAL_NAMES = ("harris", "shi", "fast")
 ARCH_TYPE = "|".join(("str", *ARCH_PRESETS))
 PRESET_TYPE = "|".join(("str", *geo.PRESETS))
+THRESHOLD_HELP = "heatmap threshold of a .spw detector; harris and shi are thresholded at 1e-12, fast not at all"
 
 # the fixed settings of ``reproduce``
 PROTOCOL = ev.DetectorProtocol(n_points=300, eps=3.0, nms_radius=4.0)
@@ -58,14 +59,6 @@ NOISE_SHAPE = (96, 96)
 COMPOSITE_SHAPE = (240, 320)
 THRESHOLD = 0.015
 NH_LIST = (1, 10, 100)
-
-
-def parallel_map(fn, items, threads):
-    """[fn(x) for x in items] on up to ``threads`` threads, numpy's OpenBLAS on one thread per call meanwhile."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +164,12 @@ def pair_options(section, count, height, width, n_points):
     return [
         Option(f"{section}.images", "path", "composites", "image dir or 'composites'"),
         Option(f"{section}.count", "count", count),
-        Option(f"{section}.height", "int", height),
-        Option(f"{section}.width", "int", width),
+        Option(f"{section}.height", "side", height),
+        Option(f"{section}.width", "side", width),
         Option(f"{section}.n_points", "budget", n_points),
         Option(f"{section}.eps", "distance", 3.0),
         Option(f"{section}.nms", "radius", 4.0),
-        Option(f"{section}.threshold", "threshold", 0.015),
+        Option(f"{section}.threshold", "threshold", 0.015, THRESHOLD_HELP),
         Option(f"{section}.out", "path", help="output CSV"),
         Option(f"{section}.seed", "int", 0),
     ]
@@ -417,7 +410,7 @@ def cmd_detect(cfg):
         im.write_pgm(os.path.join(out, stem + "_overlay.pgm"), im.overlay_points(image, pts))
         return len(pts)
 
-    counts = parallel_map(work, paths, cfg["detect.threads"])
+    counts = list(ordered_map(work, paths))
     print(f"detected points in {len(paths)} image(s): {counts}")
 
 
@@ -425,10 +418,9 @@ DETECT_SCHEMA = [
     Option("detect.input", "path", help="image file or directory"),
     detector_option("detect.weights", ".spw file or harris/shi/fast"),
     Option("detect.out", "path", help="output directory"),
-    Option("detect.threshold", "threshold", 0.015),
+    Option("detect.threshold", "threshold", 0.015, THRESHOLD_HELP),
     Option("detect.nms", "radius", 4.0),
     Option("detect.top_k", "budget", 0),
-    Option("detect.threads", "count", 1, "worker threads for per-image work"),
 ]
 
 

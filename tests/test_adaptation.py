@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pointpipe import adaptation as ad
+from pointpipe import blas
 from pointpipe import classical as cl
 from pointpipe import evalsuite as ev
 from pointpipe import geometry as geo
@@ -19,7 +20,7 @@ def harris_detector(img):
 
 
 def adapt_sequential(detector, img, cfg, seed=0):
-    """ad.adapt as one loop over the warps on the caller's thread; the two-thread version must match it bitwise."""
+    """ad.adapt as one loop over the warps on the caller's thread; the threaded version must match it bitwise."""
     img = np.asarray(img, dtype=np.float32)
     base = np.asarray(detector(img), dtype=np.float32)
     if cfg.n_homographies == 1:
@@ -138,7 +139,11 @@ def signed_detector(img):
 
 
 class TestTwoThreads:
-    """adapt runs the odd warps on a helper thread; the bytes are those of one sequential loop."""
+    """adapt at two ordered_map workers unless a test pins another count; the bytes are one sequential loop's."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(blas, "usable_cores", lambda: 2)
 
     @pytest.fixture(scope="class")
     def image(self):
@@ -155,6 +160,15 @@ class TestTwoThreads:
         cfg = ad.AdaptConfig(n_homographies=nh)
         got = ad.adapt(detector, image, cfg, seed=11)
         want = adapt_sequential(detector, image, cfg, seed=11)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nh", [1, 2, 3, 4, 20])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_signed_sums_in_warp_order_at_any_worker_count(self, image, monkeypatch, workers, nh):
+        monkeypatch.setattr(blas, "usable_cores", lambda: workers)
+        cfg = ad.AdaptConfig(n_homographies=nh)
+        got = ad.adapt(signed_detector, image, cfg, seed=11)
+        want = adapt_sequential(signed_detector, image, cfg, seed=11)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("side", ["helper", "caller"])

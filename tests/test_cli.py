@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -285,32 +286,6 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_detect_threads_below_one_exit_2(self, tmp_path, capsys, threads):
-        image = tmp_path / "img.pgm"
-        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
-        assert run(["detect", "--input", str(image), "--weights", "harris", "--out", str(tmp_path / "o"),
-                    "--threads", threads]) == 2
-        assert f"config key detect.threads: must be >= 1, got {threads}" in capsys.readouterr().err
-        assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
-
-    def test_detect_threads_from_config_file(self, tmp_path, capsys, monkeypatch):
-        image = tmp_path / "img.pgm"
-        im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
-        used = []
-        monkeypatch.setattr(cli, "parallel_map",
-                            lambda fn, items, threads: used.append(threads) or list(map(fn, items)))
-        config = tmp_path / "run.cfg"
-        argv = ["detect", "--config", str(config), "--input", str(image), "--weights", "harris",
-                "--out", str(tmp_path / "o")]
-        config.write_text("detect.threads = 2\n")
-        assert run(argv) == 0
-        assert run(argv + ["--threads", "3"]) == 0
-        assert used == [2, 3]
-        config.write_text("detect.threads = 0\n")
-        assert run(argv) == 2
-        assert "config key detect.threads: must be >= 1, got 0" in capsys.readouterr().err
-
     def test_negative_label_budget_exits_2_before_adapting(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cl, "harris", lambda image: pytest.fail("the detector ran"))
         images = tmp_path / "images"
@@ -443,16 +418,35 @@ class TestExitCodes:
         harris = cl.harris
         monkeypatch.setattr(cl, "harris", lambda image: seen.append(blas_threads["count"]) or harris(image))
         base = ["detect", "--input", str(tmp_path / "images"), "--weights", "harris"]
-        assert run(base + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+        monkeypatch.setattr(blas, "usable_cores", lambda: 1)
+        assert run(base + ["--out", str(tmp_path / "t1")]) == 0
         assert seen == [8] * 3 and blas_threads["count"] == 8
         seen.clear()
-        assert run(base + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+        monkeypatch.setattr(blas, "usable_cores", lambda: 3)
+        assert run(base + ["--out", str(tmp_path / "t3")]) == 0
         assert seen == [1] * 3 and blas_threads["count"] == 8
-        assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t2")
+        assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t3")
+
+    def test_detect_workers_run_in_the_callers_errstate(self, tmp_path, monkeypatch):
+        (tmp_path / "images").mkdir()
+        for i in range(3):
+            image = sd.render_composite((48, 48), np.random.default_rng(i)).image
+            im.write_pgm(tmp_path / "images" / f"{i}.pgm", image)
+        monkeypatch.setattr(blas, "usable_cores", lambda: 3)
+        seen = []
+        harris = cl.harris
+        monkeypatch.setattr(cl, "harris",
+                            lambda image: seen.append((threading.get_ident(), np.geterr()["divide"])) or harris(image))
+        with np.errstate(divide="raise"):
+            assert run(["detect", "--input", str(tmp_path / "images"), "--weights", "harris",
+                        "--out", str(tmp_path / "out")]) == 0
+        assert len({ident for ident, _ in seen}) > 1
+        assert [mode for _, mode in seen] == ["raise"] * 3
 
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"],
                                       *([name, "--help"] for name in ("exp-noise-sweep", "exp-noise-types",
-                                                                      "exp-square-sweep", "exp-nh-sweep"))])
+                                                                      "exp-square-sweep", "exp-nh-sweep")),
+                                      ["detect", "--threads", "2"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -804,15 +798,17 @@ class TestPipelineComposition:
         assert [row[:2] for row in rows] == [[nh, name] for nh in ("1", "10", "100")
                                              for name in ("learned", "harris", "shi")]
 
-    def test_threads_flag_matches_sequential(self, tiny_chain, tmp_path):
-        # the learned detector's threads share one model
+    def test_threads_flag_matches_sequential(self, tiny_chain, tmp_path, monkeypatch):
+        # detect at one worker and at three; the learned detector's workers share one model
         for weights in ("harris", str(tiny_chain / "mp.spw")):
-            out1 = tmp_path / os.path.basename(weights) / "t1"
-            out4 = tmp_path / os.path.basename(weights) / "t4"
+            out1 = tmp_path / os.path.basename(weights) / "w1"
+            out3 = tmp_path / os.path.basename(weights) / "w3"
             base = ["detect", "--input", str(tiny_chain / "data"), "--weights", weights]
-            assert run(base + ["--out", str(out1), "--threads", "1"]) == 0
-            assert run(base + ["--out", str(out4), "--threads", "4"]) == 0
-            assert tree_bytes(out1) == tree_bytes(out4), weights
+            monkeypatch.setattr(blas, "usable_cores", lambda: 1)
+            assert run(base + ["--out", str(out1)]) == 0
+            monkeypatch.setattr(blas, "usable_cores", lambda: 3)
+            assert run(base + ["--out", str(out3)]) == 0
+            assert tree_bytes(out1) == tree_bytes(out3), weights
 
 
 class TestReproduce:
