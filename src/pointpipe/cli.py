@@ -45,8 +45,7 @@ from .neural import (
     train_magicpoint,
     train_superpoint,
 )
-from .neural.network import CELL
-from .neural.training import LossLog, train_detector_on_labels
+from .neural.training import LossLog, train_detector_on_labels, view_size
 
 CLASSICAL_NAMES = ("harris", "shi", "fast")
 ARCH_TYPE = "|".join(("str", *ARCH_PRESETS))
@@ -311,11 +310,9 @@ def cmd_adapt_label(cfg):
     seed = cfg["adapt.seed"]
     retrains = rounds > 1 or cfg["adapt.retrain_final"]
     train_cfg = TrainConfig(iterations=cfg["adapt.train_iterations"], batch_size=cfg["adapt.train_batch"])
-    crop = cfg["adapt.crop"]
-    side = min(min(img.shape) for img in images)
-    if retrains and not (CELL <= crop <= side and crop % CELL == 0):
-        raise ValueError(f"adapt.crop must be a multiple of {CELL} from {CELL} to the smallest image side "
-                         f"{side}, got {crop}")
+    crop = (cfg["adapt.crop"], cfg["adapt.crop"])
+    if retrains:
+        view_size(images, crop, "adapt.crop")
 
     def retrain(dataset, round_index):
         arch = ARCH_PRESETS[cfg["adapt.arch"]]
@@ -326,7 +323,7 @@ def cmd_adapt_label(cfg):
             arch, _ = infer_arch(state)
         model = train_detector_on_labels(
             arch, dataset, dataclasses.replace(train_cfg, seed=seed + round_index),
-            size=(crop, crop), base_state=state,
+            size=crop, base_state=state,
         )
         path = os.path.join(cfg["adapt.out"], f"detector_round_{round_index}.spw")
         save_weights(path, model.store)
@@ -600,15 +597,15 @@ REPRODUCE_SCHEMA = [
 
 
 COMMANDS = [
-    ("synth", ["synth-dump"], "render and dump a shapes dataset", SYNTH_SCHEMA, cmd_synth),
-    ("train-magicpoint", [], "detector pretraining on streamed shapes", TRAIN_MP_SCHEMA, cmd_train_magicpoint),
-    ("adapt-label", [], "self-label an image directory via warp aggregation", ADAPT_SCHEMA, cmd_adapt_label),
-    ("train-superpoint", [], "joint detector+descriptor training from labels", TRAIN_SP_SCHEMA, cmd_train_superpoint),
-    ("detect", [], "detect points, write .pts and overlays", DETECT_SCHEMA, cmd_detect),
-    ("match", [], "match two images and estimate their homography", MATCH_SCHEMA, cmd_match),
-    ("eval-detector", [], "repeatability benchmark over warped pairs", EVAL_DET_SCHEMA, cmd_eval_detector),
-    ("eval-matching", [], "full matching benchmark over warped pairs", EVAL_MATCH_SCHEMA, cmd_eval_matching),
-    ("reproduce", [], "the paper's noise, blob and warp-count experiments", REPRODUCE_SCHEMA, cmd_reproduce),
+    ("synth", "render and dump a shapes dataset", SYNTH_SCHEMA, cmd_synth),
+    ("train-magicpoint", "detector pretraining on streamed shapes", TRAIN_MP_SCHEMA, cmd_train_magicpoint),
+    ("adapt-label", "self-label an image directory via warp aggregation", ADAPT_SCHEMA, cmd_adapt_label),
+    ("train-superpoint", "joint detector+descriptor training from labels", TRAIN_SP_SCHEMA, cmd_train_superpoint),
+    ("detect", "detect points, write .pts and overlays", DETECT_SCHEMA, cmd_detect),
+    ("match", "match two images and estimate their homography", MATCH_SCHEMA, cmd_match),
+    ("eval-detector", "repeatability benchmark over warped pairs", EVAL_DET_SCHEMA, cmd_eval_detector),
+    ("eval-matching", "full matching benchmark over warped pairs", EVAL_MATCH_SCHEMA, cmd_eval_matching),
+    ("reproduce", "the paper's noise, blob and warp-count experiments", REPRODUCE_SCHEMA, cmd_reproduce),
 ]
 
 
@@ -616,8 +613,8 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="pointpipe",
                                      description="interest point pipeline: data, training, labeling, evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, aliases, help_text, schema, fn in COMMANDS:
-        p = sub.add_parser(name, aliases=aliases, help=help_text)
+    for name, help_text, schema, fn in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key=value config file")
         for opt in schema:
             p.add_argument(opt.flag, dest=opt.dest, default=None, help=opt.help or opt.key)

@@ -10,7 +10,6 @@ from .network import (
     detector_decode,
     infer_arch,
     normalize_descriptors,
-    space_to_depth,
 )
 from .losses import (
     LossConfig,
@@ -45,7 +44,6 @@ __all__ = [
     "loss_detector",
     "normalize_descriptors",
     "save_weights",
-    "space_to_depth",
     "train_magicpoint",
     "train_superpoint",
 ]

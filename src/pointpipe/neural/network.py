@@ -174,15 +174,6 @@ def depth_to_space(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, CELL, CELL, hc, wc).transpose(0, 3, 1, 4, 2).reshape(n, hc * CELL, wc * CELL)
 
 
-def space_to_depth(y: np.ndarray) -> np.ndarray:
-    """Exact inverse of depth_to_space."""
-    n, h, w = y.shape
-    if h % CELL or w % CELL:
-        raise ValueError("spatial dims must be divisible by 8")
-    hc, wc = h // CELL, w // CELL
-    return y.reshape(n, hc, CELL, wc, CELL).transpose(0, 2, 4, 1, 3).reshape(n, CELL * CELL, hc, wc)
-
-
 def detector_decode(logits: np.ndarray) -> np.ndarray:
     """Channel softmax, drop the dustbin, rearrange cells to pixels."""
     if logits.shape[1] != DETECTOR_OUT:

@@ -38,12 +38,6 @@ class ParamStore:
         self.params[name] = p
         return p
 
-    def __getitem__(self, name: str) -> Param:
-        return self.params[name]
-
-    def names(self):
-        return list(self.params.keys())
-
     def zero_grad(self):
         # buffers for every parameter: backward accumulates into frozen
         # params too, the optimizer just skips them

@@ -1,14 +1,22 @@
 """Detector pretraining, detector retraining on labels, and joint pair training.
 
-The three trainers share one loop, ``_fit``; each supplies only its batch
-builder.  They are deterministic for a fixed seed: samples, label
-tie-breaks, crops and warp draws all come from generators derived from
-(seed, purpose, iteration).  The joint trainer optimizes the per-view mean
-of the detector term plus half the weighted descriptor term, i.e. the
-documented pair loss divided by two; logs always report the full pair loss.
-Keeping the per-view normalization makes detector gradients directly
-comparable with detector-only pretraining.  A loss or gradient that is not
-finite stops training with ``TrainingDiverged`` before it reaches the weights.
+The three trainers are one view pipeline run by one loop, ``_fit``.  A
+source yields each step's views as (image, points, generator), and
+``_batch`` takes each view through three stages, all drawn from its
+generator: a cell-aligned crop to the view size, which drops the label
+points outside it and draws nothing for an image of that size; for joint
+training, a warp by the training preset; then the label tie-breaks, the
+view's before the warped view's.  ``train_magicpoint`` streams sample k with
+its own generator (seed, 0x1A, k).  ``train_detector_on_labels`` (key 0x3C)
+and ``train_superpoint`` (key 0x2B) pick labeled images with one generator
+(seed, key, it) per step; the first crops them to ``size``, the second to
+the largest whole-cell size that fits every image (``view_size``).  The
+joint trainer optimizes the per-view mean of the detector term plus half
+the weighted descriptor term, i.e. the documented pair loss divided by two;
+logs always report the full pair loss.  Keeping the per-view normalization
+makes detector gradients directly comparable with detector-only
+pretraining.  A loss or gradient that is not finite stops training with
+``TrainingDiverged`` before it reaches the weights.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 from .. import geometry as geo
 from ..synthdata import ShapeSample, StreamConfig, homographic_augment, sample_at
 from .losses import LossConfig, cells_from_points, correspondences, loss_descriptor, loss_detector
-from .network import ArchConfig, PointNet
+from .network import CELL, ArchConfig, PointNet
 from .store import adam_step, save_weights
 
 
@@ -114,22 +122,26 @@ def _forward_and_loss(model, batch, loss_cfg):
 
 # the loop's finiteness checks report divergence; numpy's overflow warnings would only bury that message
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkpoint_dir=None, progress=None):
-    """Run ``cfg.iterations`` Adam steps on ``batch(it) -> (images, cell labels, grids)``.
+def _fit(arch, cfg: TrainConfig, views, size, ranges=None, base_state=None, loss_cfg=LossConfig(), log=None,
+         checkpoint_dir=None, progress=None):
+    """Run ``cfg.iterations`` Adam steps on ``_batch(views(it), size, ranges)``; return the model.
 
-    ``grids`` is None for detector-only training; otherwise the images are b
-    views followed by their b warped views and ``grids[j]`` links view j with
-    view b + j.  ``progress(it, loss)`` runs after every step with the loss the
-    log records as ``loss_total``.  No array of step k outlives its Adam
-    update, so step k + 1 builds its batch and runs its forward beside the
-    weights and Adam's moments alone; the last step's gradients stay readable.
+    The model has a descriptor head when the views are warped into pairs, and
+    starts from ``base_state`` where given.  ``progress(it, loss)`` runs after
+    every step with the loss the log records as ``loss_total``.  No array of
+    step k outlives its Adam update, so step k + 1 builds its batch and runs
+    its forward beside the weights and Adam's moments alone; the last step's
+    gradients stay readable.
     """
+    model = PointNet(arch, with_descriptor=ranges is not None, seed=cfg.seed)
+    if base_state:
+        model.store.load_state(base_state, strict=False)
     written = finite_checkpoint = None
     for it in range(cfg.iterations):
         # step k's parameter gradients were spent by its Adam update, and zero_grad makes new ones
         for p in model.store.params.values():
             p.grad = None
-        det_total, desc_loss, grads = _forward_and_loss(model, batch(it), loss_cfg)
+        det_total, desc_loss, grads = _forward_and_loss(model, _batch(views(it), size, ranges), loss_cfg)
         total = det_total + loss_cfg.lam * desc_loss
         if not math.isfinite(total):
             raise _diverged(f"loss is {total}", it, finite_checkpoint)
@@ -152,86 +164,76 @@ def _fit(model, cfg: TrainConfig, batch, loss_cfg=LossConfig(), log=None, checkp
     return model
 
 
-def _labeled_model(arch, dataset, cfg, base_state, with_descriptor) -> PointNet:
-    if not dataset:
+def _batch(views, size, ranges=None):
+    """One step's (images, cell labels, grids): the b views, then with ``ranges`` their b warped views and
+    the grids that link view j with view b + j (None without ``ranges``)."""
+    hgt, wdt = size
+    firsts, warps, grids = [], [], []
+    for image, points, rng in views:
+        oy, ox = (int(rng.integers(0, (side - crop) // CELL + 1)) * CELL for side, crop in zip(image.shape, size))
+        view = image[oy : oy + hgt, ox : ox + wdt]
+        points = points.copy()
+        points[:, :2] -= (ox, oy)
+        pair = [ShapeSample(view, points[geo.in_bounds(points, size)], None)]
+        if ranges is not None:
+            h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), size)
+            pair.append(homographic_augment(pair[0], h))
+            grids.append(correspondences(h, hgt // CELL, wdt // CELL))
+        pair = [(s.image, cells_from_points(s.points, hgt, wdt, rng)) for s in pair]
+        firsts.append(pair[0])
+        warps += pair[1:]
+    images, labels = zip(*firsts, *warps)
+    return np.stack(images)[:, None, :, :], np.stack(labels), grids if ranges is not None else None
+
+
+def view_size(images, size=None, name="view size") -> tuple[int, int]:
+    """The view size of a labeled image list: ``size``, or by default the largest whole-cell size that fits
+    every image.  A given size must be whole cells, from one cell up to that fit."""
+    if not images:
         raise EmptyDataset("no labeled images to train on")
-    model = PointNet(arch, with_descriptor=with_descriptor, seed=cfg.seed)
-    if base_state:
-        model.store.load_state(base_state, strict=False)
-    return model
+    fit = tuple(min(image.shape[axis] for image in images) // CELL * CELL for axis in (0, 1))
+    size = fit if size is None else tuple(size)
+    if not all(CELL <= side <= most and side % CELL == 0 for side, most in zip(size, fit)):
+        raise ValueError(f"{name} must be multiples of {CELL} from {CELL} up to the images' whole-cell fit {fit}, "
+                         f"got {size}")
+    return size
+
+
+def _labeled_views(dataset, cfg, purpose):
+    def views(it):
+        rng = _rng(cfg.seed, purpose, it)
+        for _ in range(cfg.batch_size):
+            image, points = dataset[int(rng.integers(len(dataset)))]
+            yield image, points, rng
+
+    return views
 
 
 def train_magicpoint(arch: ArchConfig, stream_cfg: StreamConfig, cfg: TrainConfig, log: LossLog | None = None,
                      checkpoint_dir=None, progress=None) -> PointNet:
     """Detector-only training on the endless synthetic stream."""
 
-    def batch(it):
-        base = it * cfg.batch_size
-        samples = [sample_at(stream_cfg, base + j) for j in range(cfg.batch_size)]
-        x = np.stack([s.image for s in samples])[:, None, :, :]
-        labels = [cells_from_points(s.points, stream_cfg.height, stream_cfg.width, _rng(cfg.seed, 0x1A, base + j))
-                  for j, s in enumerate(samples)]
-        return x, np.stack(labels), None
+    def views(it):
+        for k in range(it * cfg.batch_size, (it + 1) * cfg.batch_size):
+            sample = sample_at(stream_cfg, k)
+            yield sample.image, sample.points, _rng(cfg.seed, 0x1A, k)
 
-    model = PointNet(arch, with_descriptor=False, seed=cfg.seed)
-    return _fit(model, cfg, batch, log=log, checkpoint_dir=checkpoint_dir, progress=progress)
+    return _fit(arch, cfg, views, (stream_cfg.height, stream_cfg.width), log=log, checkpoint_dir=checkpoint_dir,
+                progress=progress)
 
 
 def train_detector_on_labels(arch: ArchConfig, dataset, cfg: TrainConfig, size: tuple[int, int],
                              base_state=None) -> PointNet:
-    """Supervised detector training on (image, points) pairs with random crops.
-
-    Used by the self-labeling rounds: images may be larger than the training
-    window, so each step takes a seeded random crop aligned to the cell grid.
-    """
-    model = _labeled_model(arch, dataset, cfg, base_state, with_descriptor=False)
-    hgt, wdt = size
-
-    def batch(it):
-        rng = _rng(cfg.seed, 0x3C, it)
-        xs, ys = [], []
-        for _ in range(cfg.batch_size):
-            img, pts = dataset[int(rng.integers(len(dataset)))]
-            ih, iw = img.shape
-            if ih < hgt or iw < wdt:
-                raise ValueError(f"image {img.shape} smaller than crop {size}")
-            oy = int(rng.integers(0, (ih - hgt) // 8 + 1)) * 8
-            ox = int(rng.integers(0, (iw - wdt) // 8 + 1)) * 8
-            crop = img[oy : oy + hgt, ox : ox + wdt]
-            shifted = pts.copy()
-            shifted[:, :2] -= (ox, oy)
-            shifted = shifted[geo.in_bounds(shifted, size)]
-            xs.append(crop)
-            ys.append(cells_from_points(shifted, hgt, wdt, rng))
-        return np.stack(xs)[:, None, :, :], np.stack(ys), None
-
-    return _fit(model, cfg, batch)
+    """Supervised detector training on seeded ``size`` crops of (image, points) pairs; the self-labeling rounds
+    retrain with it."""
+    size = view_size([image for image, _ in dataset], size)
+    return _fit(arch, cfg, _labeled_views(dataset, cfg, 0x3C), size, base_state=base_state)
 
 
 def train_superpoint(base_state, arch: ArchConfig, dataset, cfg: TrainConfig, loss_cfg: LossConfig = LossConfig(),
                      log: LossLog | None = None, checkpoint_dir=None, progress=None) -> PointNet:
-    """Joint detector + descriptor training on self-labeled images.
-
-    Each step samples a homography per image from the training preset,
-    builds the warped view and its transported labels, and optimizes the
-    pair loss; correspondence grids come from the same homography.
-    """
-    model = _labeled_model(arch, dataset, cfg, base_state, with_descriptor=True)
-    ranges = geo.ranges_preset("training")
-
-    def batch(it):
-        rng = _rng(cfg.seed, 0x2B, it)
-        imgs_a, imgs_b, labels, grids = [], [], [], []
-        for _ in range(cfg.batch_size):
-            img, pts = dataset[int(rng.integers(len(dataset)))]
-            hgt, wdt = img.shape
-            h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
-            warped = homographic_augment(ShapeSample(img, pts, None), h)
-            imgs_a.append(img)
-            imgs_b.append(warped.image)
-            labels.append(cells_from_points(pts, hgt, wdt, rng))
-            labels.append(cells_from_points(warped.points, hgt, wdt, rng))
-            grids.append(correspondences(h, hgt // 8, wdt // 8))
-        return np.stack(imgs_a + imgs_b)[:, None, :, :], np.stack(labels[0::2] + labels[1::2]), grids
-
-    return _fit(model, cfg, batch, loss_cfg, log=log, checkpoint_dir=checkpoint_dir, progress=progress)
+    """Joint detector + descriptor training on the pair loss of self-labeled images of any size and their
+    warps by the training preset."""
+    size = view_size([image for image, _ in dataset])
+    return _fit(arch, cfg, _labeled_views(dataset, cfg, 0x2B), size, geo.ranges_preset("training"), base_state,
+                loss_cfg, log=log, checkpoint_dir=checkpoint_dir, progress=progress)

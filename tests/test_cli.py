@@ -182,7 +182,7 @@ class TestExitCodes:
         image = tmp_path / "img.pgm"
         im.write_pgm(image, sd.render_composite((48, 48), np.random.default_rng(0)).image)
         model = PointNet(ARCH_PRESETS["micro"], with_descriptor=False, seed=0)
-        model.store["enc3.w"].data[0, 0, 1, 1] = np.nan
+        model.store.params["enc3.w"].data[0, 0, 1, 1] = np.nan
         weights = tmp_path / "nan.spw"
         save_weights(weights, model.store)
         assert run(["detect", "--input", str(image), "--weights", str(weights), "--out", str(tmp_path / "o")]) == 3
@@ -210,7 +210,8 @@ class TestExitCodes:
                 "--crop", crop]
         assert run(argv + ["--rounds", "2"]) == 3
         err = capsys.readouterr().err
-        assert f"adapt.crop must be a multiple of 8 from 8 to the smallest image side 96, got {crop}" in err, err
+        assert ("adapt.crop must be multiples of 8 from 8 up to the images' whole-cell fit (96, 96), "
+                f"got ({crop}, {crop})") in err, err
         assert not out.exists()
         # without a retrain the crop is unused
         assert run(argv + ["--rounds", "1"]) == 0
@@ -446,7 +447,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["synth", "--threads", "2"], ["detect", "--deterministic"],
                                       *([name, "--help"] for name in ("exp-noise-sweep", "exp-noise-types",
                                                                       "exp-square-sweep", "exp-nh-sweep")),
-                                      ["detect", "--threads", "2"]])
+                                      ["detect", "--threads", "2"], ["synth-dump", "--help"]])
     def test_removed_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -494,7 +495,7 @@ def test_readme_command_table_names_every_subcommand():
         table = f.read().split("| command | what it does |", 1)[1].split("\n\n", 1)[0]
     named = [name for row in table.splitlines() if row.startswith("| `")
              for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
-    commands = [n for name, aliases, *_ in COMMANDS for n in [name, *aliases]]
+    commands = [name for name, *_ in COMMANDS]
     assert sorted(named) == sorted(commands)
 
 
@@ -511,12 +512,12 @@ def rule_of(opt):
     return item if item in RULES else None
 
 
-RULED = [(name, opt) for name, _, _, schema, _ in COMMANDS for opt in schema if rule_of(opt)]
+RULED = [(name, opt) for name, _, schema, _ in COMMANDS for opt in schema if rule_of(opt)]
 
 
 @pytest.mark.parametrize("command, opt", RULED, ids=[f"{name}-{opt.key}" for name, opt in RULED])
 def test_bad_value_exits_2_before_work(tmp_path, capsys, command, opt):
-    schema = next(schema for name, _, _, schema, _ in COMMANDS if name == command)
+    schema = next(schema for name, _, schema, _ in COMMANDS if name == command)
     argv = [command]
     for required in (o for o in schema if o.default is REQUIRED):
         argv += [required.flag, str(tmp_path / required.key)]
@@ -572,11 +573,6 @@ class TestSynthCommand:
         assert run(["synth", "--out", str(out), "--count", "30", "--height", "32", "--width", "48"]) == 0
         categories = {line.split()[1] for line in (out / "manifest.txt").read_text().splitlines()}
         assert "star" in categories and len(os.listdir(out)) == 61
-
-    def test_synth_dump_alias(self, tmp_path):
-        out = tmp_path / "data"
-        assert run(["synth-dump", "--out", str(out), "--count", "1"]) == 0
-        assert (out / "000000.pgm").exists()
 
     def test_golden_run_byte_identical(self, tmp_path, tiny_chain):
         a = tmp_path / "a"
@@ -732,6 +728,18 @@ class TestPipelineComposition:
         assert (out / "estimated.htxt").exists()
         assert (out / "side_by_side.pgm").exists()
 
+    @pytest.mark.parametrize("sizes", [[(64, 64), (64, 80)], [(75, 100), (75, 100)]])
+    def test_train_superpoint_any_image_size(self, tmp_path, sizes):
+        data = tmp_path / "data"
+        data.mkdir()
+        for i, size in enumerate(sizes):
+            sample = sd.render_composite(size, np.random.default_rng(i))
+            im.write_pgm(data / f"{i}.pgm", sample.image)
+            sd.write_points(data / f"{i}.pts", sample.points)
+        # at seed 1 a batch holds both sizes of the first list
+        assert run(["train-superpoint", "--images", str(data), "--labels", str(data), "--out", str(tmp_path / "sp.spw"),
+                    "--iterations", "2", "--batch", "2", "--seed", "1"]) == 0
+
     def test_match_any_image_size(self, tiny_chain, tmp_path):
         out = tmp_path / "match"
         image = odd_sized_image(tmp_path / "odd.pgm")
@@ -833,7 +841,7 @@ class TestReproduce:
                                                   "square_sweep.csv"]
 
     def test_schema_has_six_settings(self):
-        schema = next(schema for name, _, _, schema, _ in COMMANDS if name == "reproduce")
+        schema = next(schema for name, _, schema, _ in COMMANDS if name == "reproduce")
         assert [opt.key for opt in schema] == [f"reproduce.{key}" for key in
                                                ("weights", "out", "images", "samples", "pairs", "seed")]
 

@@ -13,7 +13,6 @@ from pointpipe.neural import (
     detector_decode,
     infer_arch,
     normalize_descriptors,
-    space_to_depth,
 )
 from pointpipe.neural.ops import BatchNorm2d, Conv2d, MaxPool2x2, ReLU
 
@@ -114,11 +113,12 @@ class TestDecode:
                     assert abs(cell + dustbin[n, h, w] - 1.0) < 1e-6
 
     def test_depth_space_roundtrip_exact(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 64, 5, 7))
-        np.testing.assert_array_equal(space_to_depth(depth_to_space(x)), x)
-        y = rng.normal(size=(2, 40, 48))
-        np.testing.assert_array_equal(depth_to_space(space_to_depth(y)), y)
+        """Channel k of cell (h, w) lands on pixel (8h + k//8, 8w + k%8)."""
+        x = np.random.default_rng(1).normal(size=(3, 64, 5, 7))
+        y = depth_to_space(x)
+        assert y.shape == (3, 40, 56)
+        n, k, h, w = np.meshgrid(*map(np.arange, x.shape), indexing="ij")
+        np.testing.assert_array_equal(y[n, 8 * h + k // 8, 8 * w + k % 8], x)
 
 
 class TestDescriptors:
@@ -283,7 +283,7 @@ class TestWholeNetworkGradient:
         def objective():
             out_logits, out_desc = model.forward(x, train=True)
             for n, value in running.items():
-                model.store[n].data = value.copy()
+                model.store.params[n].data = value.copy()
             return float((out_logits * r).sum() + (out_desc * s).sum())
 
         h = 1e-6

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pointpipe import geometry as geo
 from pointpipe import synthdata as sd
 from pointpipe.imaging import TruncatedFile
 from pointpipe.neural import (
@@ -19,8 +20,9 @@ from pointpipe.neural import (
     train_magicpoint,
     train_superpoint,
 )
-from pointpipe.neural.losses import loss_detector
-from pointpipe.neural.training import LossLog, TrainingDiverged, train_detector_on_labels
+from pointpipe.neural import training
+from pointpipe.neural.losses import cells_from_points, correspondences, loss_detector
+from pointpipe.neural.training import LossLog, TrainingDiverged, _rng, train_detector_on_labels, view_size
 
 MICRO = ARCH_PRESETS["micro"]
 
@@ -71,9 +73,9 @@ class TestWeightFile:
         path = tmp_path / "w.spw"
         save_weights(path, model.store)
         state = load_weights(path)
-        assert set(state) == set(model.store.names())
+        assert set(state) == set(model.store.params)
         for name, arr in state.items():
-            np.testing.assert_array_equal(arr, model.store[name].data)
+            np.testing.assert_array_equal(arr, model.store.params[name].data)
 
     def test_magic_bytes(self, tmp_path):
         model = PointNet(MICRO, with_descriptor=False, seed=0)
@@ -91,8 +93,8 @@ class TestWeightFile:
         model = PointNet(MICRO, with_descriptor=False, seed=0)
         path = tmp_path / "w.spw"
         save_weights(path, model.store)
-        name = model.store.names()[0]
-        shape = model.store[name].data.shape
+        name = list(model.store.params)[0]
+        shape = model.store.params[name].data.shape
         start = 4 + 2 + len(name) + 1 + 4 * len(shape)
         path.write_bytes(path.read_bytes()[: start + 10])
         with pytest.raises(TruncatedFile) as exc:
@@ -131,15 +133,15 @@ class TestTrainMagicpoint:
         cfg = TrainConfig(iterations=0, batch_size=2, seed=4)
         model = train_magicpoint(MICRO, tiny_stream(), cfg)
         fresh = PointNet(MICRO, with_descriptor=False, seed=4)
-        for name in fresh.store.names():
-            np.testing.assert_array_equal(model.store[name].data, fresh.store[name].data)
+        for name in fresh.store.params:
+            np.testing.assert_array_equal(model.store.params[name].data, fresh.store.params[name].data)
 
     def test_fixed_seed_bitwise_reproducible(self):
         cfg = TrainConfig(iterations=3, batch_size=2, seed=5)
         m1 = train_magicpoint(MICRO, tiny_stream(1), cfg)
         m2 = train_magicpoint(MICRO, tiny_stream(1), cfg)
-        for name in m1.store.names():
-            np.testing.assert_array_equal(m1.store[name].data, m2.store[name].data)
+        for name in m1.store.params:
+            np.testing.assert_array_equal(m1.store.params[name].data, m2.store.params[name].data)
 
     def test_loss_log_and_checkpoints(self, tmp_path):
         log = LossLog()
@@ -216,8 +218,8 @@ class TestTrainSuperpoint:
         cfg = TrainConfig(iterations=2, batch_size=2, seed=8)
         m1 = train_superpoint(None, MICRO, data, cfg)
         m2 = train_superpoint(None, MICRO, data, cfg)
-        for name in m1.store.names():
-            np.testing.assert_array_equal(m1.store[name].data, m2.store[name].data)
+        for name in m1.store.params:
+            np.testing.assert_array_equal(m1.store.params[name].data, m2.store.params[name].data)
 
     def test_detector_reduction_matches_magicpoint_step(self):
         """With lam=0, duplicated identity views, and a frozen descriptor
@@ -244,9 +246,9 @@ class TestTrainSuperpoint:
         adam_step(sp.store, t=1)
 
         assert loss_sp == pytest.approx(loss_mp, rel=1e-6)
-        for name in mp.store.names():
+        for name in mp.store.params:
             np.testing.assert_allclose(
-                sp.store[name].data, mp.store[name].data, rtol=1e-5, atol=1e-7, err_msg=name
+                sp.store.params[name].data, mp.store.params[name].data, rtol=1e-5, atol=1e-7, err_msg=name
             )
 
     def test_loads_base_detector_weights(self):
@@ -255,8 +257,8 @@ class TestTrainSuperpoint:
         model = train_superpoint(
             base.store.state_dict(), MICRO, data, TrainConfig(iterations=0, batch_size=2, seed=13)
         )
-        for name in base.store.names():
-            np.testing.assert_array_equal(model.store[name].data, base.store[name].data)
+        for name in base.store.params:
+            np.testing.assert_array_equal(model.store.params[name].data, base.store.params[name].data)
 
 
 def composite_dataset(n=2):
@@ -273,8 +275,8 @@ class TestTrainDetectorOnLabels:
         cfg = TrainConfig(iterations=2, batch_size=2, seed=14)
         m1 = train_detector_on_labels(MICRO, data, cfg, size=(32, 32))
         m2 = train_detector_on_labels(MICRO, data, cfg, size=(32, 32))
-        for name in m1.store.names():
-            np.testing.assert_array_equal(m1.store[name].data, m2.store[name].data)
+        for name in m1.store.params:
+            np.testing.assert_array_equal(m1.store.params[name].data, m2.store.params[name].data)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyDataset):
@@ -291,6 +293,12 @@ class TestTrainConfigValidation:
 
 
 class TestDivergence:
+    def test_nan_image_stops_retraining(self):
+        data = composite_dataset(n=1)
+        data[0][0][:] = np.nan
+        with pytest.raises(TrainingDiverged, match="at iteration 0; no checkpoint that gave a finite loss"):
+            train_detector_on_labels(MICRO, data, TrainConfig(iterations=3, batch_size=2), size=(32, 32))
+
     def test_nan_pixel_stops_joint_training(self):
         data = labeled_dataset(n=1)
         data[0][0][5, 7] = np.nan
@@ -312,3 +320,124 @@ class TestDivergence:
         assert str(exc.value) == ("gradient of 'enc0.w' is not finite at iteration 3; the last checkpoint that "
                                   f"gave a finite loss and gradients is {tmp_path}/checkpoint_000002.spw")
         assert sorted(os.listdir(tmp_path)) == [f"checkpoint_{k:06d}.spw" for k in (1, 2, 3)]
+
+
+# The three batch builders of the trainers before they shared ``training._batch``, kept as its reference.
+
+
+def reference_magicpoint_batch(stream_cfg, cfg, it):
+    base = it * cfg.batch_size
+    samples = [sd.sample_at(stream_cfg, base + j) for j in range(cfg.batch_size)]
+    x = np.stack([s.image for s in samples])[:, None, :, :]
+    labels = [cells_from_points(s.points, stream_cfg.height, stream_cfg.width, _rng(cfg.seed, 0x1A, base + j))
+              for j, s in enumerate(samples)]
+    return x, np.stack(labels), None
+
+
+def reference_retraining_batch(dataset, cfg, size, it):
+    hgt, wdt = size
+    rng = _rng(cfg.seed, 0x3C, it)
+    xs, ys = [], []
+    for _ in range(cfg.batch_size):
+        img, pts = dataset[int(rng.integers(len(dataset)))]
+        ih, iw = img.shape
+        oy = int(rng.integers(0, (ih - hgt) // 8 + 1)) * 8
+        ox = int(rng.integers(0, (iw - wdt) // 8 + 1)) * 8
+        crop = img[oy : oy + hgt, ox : ox + wdt]
+        shifted = pts.copy()
+        shifted[:, :2] -= (ox, oy)
+        shifted = shifted[geo.in_bounds(shifted, size)]
+        xs.append(crop)
+        ys.append(cells_from_points(shifted, hgt, wdt, rng))
+    return np.stack(xs)[:, None, :, :], np.stack(ys), None
+
+
+def reference_joint_batch(dataset, cfg, it):
+    ranges = geo.ranges_preset("training")
+    rng = _rng(cfg.seed, 0x2B, it)
+    imgs_a, imgs_b, labels, grids = [], [], [], []
+    for _ in range(cfg.batch_size):
+        img, pts = dataset[int(rng.integers(len(dataset)))]
+        hgt, wdt = img.shape
+        h = geo.to_pixel_frame(geo.sample_homography(ranges, rng), img.shape)
+        warped = sd.homographic_augment(sd.ShapeSample(img, pts, None), h)
+        imgs_a.append(img)
+        imgs_b.append(warped.image)
+        labels.append(cells_from_points(pts, hgt, wdt, rng))
+        labels.append(cells_from_points(warped.points, hgt, wdt, rng))
+        grids.append(correspondences(h, hgt // 8, wdt // 8))
+    return np.stack(imgs_a + imgs_b)[:, None, :, :], np.stack(labels[0::2] + labels[1::2]), grids
+
+
+def built_batches(monkeypatch, train, iterations):
+    """The batches ``training._batch`` builds for a trainer's first steps; the trainer's loop never runs."""
+    monkeypatch.setattr(training, "_fit", lambda arch, cfg, views, size, ranges=None, *args, **kwargs:
+                        [training._batch(views(it), size, ranges) for it in range(iterations)])
+    return train()
+
+
+def composites(sizes, seed=0):
+    return [(s.image, s.points) for s in (sd.render_composite(size, np.random.default_rng(seed + i))
+                                          for i, size in enumerate(sizes))]
+
+
+def assert_bitwise_equal(batch, reference):
+    for got, want in zip(batch[:2], reference[:2]):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (batch[2] is None) == (reference[2] is None)
+    for got, want in zip(batch[2] or [], reference[2] or [], strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestViewPipeline:
+    """``training._batch`` builds, bitwise, the batches each trainer built with its own code before."""
+
+    CFG = TrainConfig(iterations=4, batch_size=3, seed=21)
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_magicpoint_batches(self, monkeypatch, noise):
+        stream = sd.StreamConfig(height=32, width=48, noise=noise, seed=6)
+        batches = built_batches(monkeypatch, lambda: train_magicpoint(MICRO, stream, self.CFG), 4)
+        for it, batch in enumerate(batches):
+            assert_bitwise_equal(batch, reference_magicpoint_batch(stream, self.CFG, it))
+
+    @pytest.mark.parametrize("size", [(32, 32), (40, 48), (64, 80)])
+    def test_retraining_batches(self, monkeypatch, size):
+        data = composites([(64, 80)] * 3)
+        batches = built_batches(monkeypatch, lambda: train_detector_on_labels(MICRO, data, self.CFG, size), 4)
+        for it, batch in enumerate(batches):
+            assert_bitwise_equal(batch, reference_retraining_batch(data, self.CFG, size, it))
+
+    def test_joint_batches(self, monkeypatch):
+        data = composites([(64, 64)] * 3)
+        batches = built_batches(monkeypatch, lambda: train_superpoint(None, MICRO, data, self.CFG), 4)
+        for it, batch in enumerate(batches):
+            assert_bitwise_equal(batch, reference_joint_batch(data, self.CFG, it))
+
+    def test_label_points_outside_the_view_are_dropped(self):
+        # clamped into the view, the left point would give cell 0 label 40
+        image = np.zeros((8, 16), dtype=np.float32)
+        points = np.array([[-3.0, 5.0, 1.0], [10.0, 3.0, 1.0]])
+        _, labels, _ = training._batch([(image, points, np.random.default_rng(0))], (8, 16))
+        assert labels.tolist() == [[[64, 3 * 8 + 2]]]
+
+
+class TestAnyImageSize:
+    def test_view_size_is_the_largest_whole_cell_fit(self):
+        images = [np.zeros(shape) for shape in ((64, 80), (75, 100))]
+        assert view_size(images) == (64, 80)
+        assert view_size([np.zeros((75, 100))]) == (72, 96)
+        assert view_size(images, (40, 48)) == (40, 48)
+
+    @pytest.mark.parametrize("size", [(72, 72), (64, 88), (36, 40), (0, 8)])
+    def test_a_crop_that_does_not_fit_raises_before_the_model_is_built(self, monkeypatch, size):
+        monkeypatch.setattr(training, "PointNet", lambda *args, **kwargs: pytest.fail("model built"))
+        with pytest.raises(ValueError, match=rf"^view size must be multiples of 8 from 8 up to the images' "
+                                             rf"whole-cell fit \(64, 80\), got \({size[0]}, {size[1]}\)$"):
+            train_detector_on_labels(MICRO, composites([(64, 80), (75, 100)]), TrainConfig(iterations=1), size)
+
+    @pytest.mark.parametrize("sizes", [[(64, 64), (64, 80)], [(75, 100), (75, 100)]])
+    def test_joint_training_takes_images_of_any_size(self, sizes):
+        # at seed 1 a batch of the first list holds both sizes
+        model = train_superpoint(None, MICRO, composites(sizes), TrainConfig(iterations=2, batch_size=2, seed=1))
+        assert all(np.isfinite(p.data).all() for p in model.store.params.values())
