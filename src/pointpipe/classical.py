@@ -18,6 +18,7 @@ FAST_ARC = 9  # contiguous circle pixels required
 _NMS_CHUNK = 256  # rank-ordered candidates per raster gather and Python-int conversion
 _RASTER_DENSITY = 256  # the padded lattice box may hold this many pixels (raster bytes) per candidate
 _FAST_BAND = 16  # output rows per arc-test pass
+_PREFIX_PER_POINT = 32  # candidates per budgeted point in select_points' first NMS prefix
 
 
 class ImageTooSmall(ValueError):
@@ -231,9 +232,33 @@ def threshold_points(heatmap: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def select_points(points: np.ndarray, nms_radius: float, top_k: int = 0) -> np.ndarray:
-    """Greedy NMS, then the strongest top_k (0 = all)."""
+    """The first top_k points of ``nms(points, nms_radius)`` (0 = all).
+
+    With a budget, ``nms`` runs on a rank prefix first: every candidate
+    whose confidence is at least the m-th largest, m = ``_PREFIX_PER_POINT``
+    * top_k, found by a partition.  The prefix is closed under ties, so it
+    is the first candidates of ``nms``'s own order (descending confidence,
+    then y, then x), and greedy NMS accepts a candidate on the candidates
+    ranked above it alone: the prefix keeps exactly the first points that
+    the whole set keeps, whichever path ``nms`` takes.  A prefix that keeps
+    fewer than top_k grows fourfold; once it would hold every candidate
+    whose confidence is not NaN (NaN ranks last), one ``nms`` call on all
+    points decides.  ``nms`` sees the full set at most once.
+    """
     if top_k < 0:
         raise ValueError("top_k must be >= 0")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if top_k:
+        conf = points[:, 2]
+        ranked = -conf[~np.isnan(conf)]  # ascending is nms's confidence order
+        m = _PREFIX_PER_POINT * top_k
+        while m < len(ranked):
+            bound = -np.partition(ranked, m - 1)[m - 1]  # the m-th largest confidence
+            prefix = points[conf >= bound]
+            kept = nms(prefix, nms_radius)
+            if len(kept) >= top_k or len(prefix) == len(points):
+                return kept[:top_k]
+            m = 4 * len(prefix)  # ties can make the prefix longer than m
     pts = nms(points, nms_radius)
     return pts[:top_k] if top_k else pts
 
@@ -241,5 +266,5 @@ def select_points(points: np.ndarray, nms_radius: float, top_k: int = 0) -> np.n
 def heatmap_to_points(
     heatmap: np.ndarray, threshold: float, nms_radius: float, top_k: int = 0
 ) -> np.ndarray:
-    """Threshold a response map, suppress, keep the strongest top_k (0 = all)."""
+    """Threshold a response map, then ``select_points``: suppress, keep the strongest top_k (0 = all)."""
     return select_points(threshold_points(heatmap, threshold), nms_radius, top_k)

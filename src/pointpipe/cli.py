@@ -158,14 +158,14 @@ def composite_images(count, shape, seed):
     ]
 
 
-def pair_options(section, count, height, width, n_points):
+def pair_options(section, count, height, width, n_points, n_points_type):
     """The settings of a warped-pair benchmark (eval-detector, eval-matching)."""
     return [
         Option(f"{section}.images", "path", "composites", "image dir or 'composites'"),
         Option(f"{section}.count", "count", count),
         Option(f"{section}.height", "side", height),
         Option(f"{section}.width", "side", width),
-        Option(f"{section}.n_points", "budget", n_points),
+        Option(f"{section}.n_points", n_points_type, n_points),
         Option(f"{section}.eps", "distance", 3.0),
         Option(f"{section}.nms", "radius", 4.0),
         Option(f"{section}.threshold", "threshold", 0.015, THRESHOLD_HELP),
@@ -473,7 +473,8 @@ def cmd_eval_detector(cfg):
 EVAL_DET_SCHEMA = [
     Option("eval_det.detectors", "str", help="comma list: name[:weights], e.g. magic:w.spw,harris"),
     Option("eval_det.preset", PRESET_TYPE, "training", "homography preset for pairs"),
-    *pair_options("eval_det", count=50, height=240, width=320, n_points=300),
+    # repeatability compares detectors at one equal budget, so a budget of 0 (keep all) is refused
+    *pair_options("eval_det", count=50, height=240, width=320, n_points=300, n_points_type="count"),
 ]
 
 
@@ -499,7 +500,7 @@ EVAL_MATCH_SCHEMA = [
     Option("eval_match.preset", PRESET_TYPE, "training"),
     Option("eval_match.eps_list", "distance list", "1,3,5"),
     Option("eval_match.random_descriptors", "bool", False),
-    *pair_options("eval_match", count=50, height=96, width=96, n_points=1000),
+    *pair_options("eval_match", count=50, height=96, width=96, n_points=1000, n_points_type="budget"),
 ]
 
 

@@ -333,10 +333,11 @@ def _collinear_triple(xy: np.ndarray) -> np.ndarray:
     extent = np.abs(xy).max(axis=(-2, -1))
     bound = 1e-6 * np.where(extent > 1.0, extent, 1.0)
     found = np.zeros(xy.shape[:-2], dtype=bool)
-    for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        v1 = xy[..., j, :] - xy[..., i, :]
-        v2 = xy[..., k, :] - xy[..., i, :]
-        found |= np.abs(v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]) <= bound
+    with np.errstate(invalid="ignore"):  # an infinite coordinate gives NaN, which is <= nothing
+        for i, j, k in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+            v1 = xy[..., j, :] - xy[..., i, :]
+            v2 = xy[..., k, :] - xy[..., i, :]
+            found |= np.abs(v1[..., 0] * v2[..., 1] - v1[..., 1] * v2[..., 0]) <= bound
     return found
 
 
@@ -535,8 +536,9 @@ def run_detector_benchmark(detectors: dict, pairs, protocol: DetectorProtocol = 
     """Repeatability table over warped pairs.
 
     ``detectors`` maps name -> callable(image) -> candidate (N, 3) points;
-    the selection stage (NMS + top-K) is applied uniformly.  A uniform
-    Random baseline is appended unless disabled.
+    the selection stage, ``select_points`` (greedy NMS + top-K, NMS run on
+    the rank prefix that fills the budget), is applied uniformly.  A
+    uniform Random baseline is appended unless disabled.
     """
     detectors = dict(detectors)
     if include_random:

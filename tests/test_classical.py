@@ -466,6 +466,86 @@ class TestNmsPathTaken:
         assert raster_used == [True, True, False]
 
 
+class TestSelectPoints:
+    """A budget runs nms on a rank prefix; the points out are full greedy NMS's first top_k, byte for byte."""
+
+    RADII = (0.0, 4.0, math.inf)
+
+    def assert_first_k_of_scan(self, pts, radius):
+        n = len(pts)
+        with np.errstate(invalid="ignore"):  # the oracle's inf - inf
+            full = nms_scan(pts, radius)
+        for k in (1, 7, 300, n - 1, n, n + 5):
+            got = cl.select_points(pts, radius, k)
+            assert got.dtype == full.dtype and got.shape == full[:k].shape, (radius, n, k)
+            assert got.tobytes() == full[:k].tobytes(), (radius, n, k)
+
+    @staticmethod
+    def candidates(rng, wdt, hgt, fractional, levels):
+        pts = lattice(0, 0, wdt, hgt, rng, levels)
+        if fractional:
+            pts[:, :2] += rng.uniform(-0.5, 0.5, (len(pts), 2))
+        return pts
+
+    @pytest.mark.parametrize("levels", [3, 1024])
+    @pytest.mark.parametrize("fractional, wdt, hgt", [(False, 120, 96), (True, 64, 48)], ids=["lattice", "fractional"])
+    def test_equals_full_nms(self, fractional, wdt, hgt, levels, raster_used):
+        # the lattice's 11520 candidates exceed the first prefix at top_k 300; the scanned set's only at 1 and 7
+        rng = np.random.default_rng(40 + levels + fractional)
+        pts = self.candidates(rng, wdt, hgt, fractional, levels)
+        assert len(pts) > cl._PREFIX_PER_POINT * (7 if fractional else 300)
+        for radius in self.RADII:
+            self.assert_first_k_of_scan(pts, radius)
+        # the lattice's large prefixes take the raster (a few dozen candidates spread over the box are scanned)
+        assert any(raster_used) is not fractional
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["lattice", "fractional"])
+    def test_non_finite_confidences_and_duplicates(self, fractional):
+        rng = np.random.default_rng(50 + fractional)
+        pts = self.candidates(rng, 40, 30, fractional, 4)
+        rows = rng.permutation(len(pts))
+        pts[rows[:60], 2] = np.nan
+        pts[rows[60:70], 2] = np.inf
+        pts[rows[70:80], 2] = -np.inf
+        pts = np.concatenate([pts, pts[rows[:200]], pts[rows[:20]] * [1.0, 1.0, 0.5]])
+        for radius in self.RADII:
+            self.assert_first_k_of_scan(pts, radius)
+        # NaN confidences rank last: only the full call reaches them
+        only_nan = np.c_[pts[:50, :2], np.full(50, np.nan)]
+        for radius in self.RADII:
+            self.assert_first_k_of_scan(np.concatenate([pts[:1000], only_nan]), radius)
+
+    def test_prefixes_see_fewer_candidates(self, monkeypatch):
+        sizes = []
+        nms = cl.nms
+
+        def counting(points, radius):
+            sizes.append(len(points))
+            return nms(points, radius)
+
+        monkeypatch.setattr(cl, "nms", counting)
+        img = cli.composite_images(1, (240, 320), 0)[0]
+        cand = cl.threshold_points(cl.shi_tomasi(img), 1e-12)
+        got = cl.select_points(cand, 4.0, 300)
+        assert got.tobytes() == nms(cand, 4.0)[:300].tobytes()
+        assert sum(sizes) < len(cand), sizes
+        # an infinite radius keeps one point, so no prefix fills a budget of 2: the last call sees all
+        sizes.clear()
+        few = lattice(0, 0, 60, 40, np.random.default_rng(52), 3)
+        assert len(cl.select_points(few, math.inf, 2)) == 1
+        assert sizes[-1] == len(few) and len(sizes) > 1, sizes
+        assert np.all(np.diff(sizes) > 0), sizes  # a prefix grows past its ties, so no call repeats one
+        # all tied: the first prefix is every candidate, and that call decides
+        sizes.clear()
+        assert len(cl.select_points(np.c_[few[:, :2], np.ones(len(few))], math.inf, 2)) == 1
+        assert sizes == [len(few)]
+        # no budget, or no more candidates than the first prefix: one call on all
+        for k in (0, len(cand) // cl._PREFIX_PER_POINT + 1):
+            sizes.clear()
+            cl.select_points(cand, 4.0, k)
+            assert sizes == [len(cand)]
+
+
 class TestHeatmapToPoints:
     def test_all_zero_empty(self):
         assert len(cl.heatmap_to_points(np.zeros((10, 10)), 0.1, 4.0)) == 0

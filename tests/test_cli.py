@@ -233,9 +233,10 @@ class TestExitCodes:
                      "--top-k", "-1"],
                     ["eval-detector", "--detectors", "harris", "--count", "1", "--height", "48", "--width", "48",
                      "--out", str(tmp_path / "r.csv"), "--n-points", "-1"]]
-        for argv, key in zip(commands, ["detect.top_k", "eval_det.n_points"]):
+        rules = [("detect.top_k", ">= 0 (0 keeps every point)"), ("eval_det.n_points", ">= 1")]
+        for argv, (key, rule) in zip(commands, rules):
             assert run(argv) == 2, argv[0]
-            assert f"config key {key}: must be >= 0 (0 keeps every point), got -1" in capsys.readouterr().err
+            assert f"config key {key}: must be {rule}, got -1" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["img.pgm"]
 
     def test_nan_nms_radius_exits_2_without_output(self, tmp_path, capsys):
@@ -849,3 +850,19 @@ class TestReproduce:
         assert run(["reproduce", "--weights", str(tmp_path / "missing.spw"), "--out", str(tmp_path / "o")]) == 3
         assert "missing.spw" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+class TestEvalDetectorBytes:
+    """eval-detector's CSV at the budgets of one point and of direction 2's protocol."""
+
+    @pytest.mark.parametrize("n_points, digest", [
+        (1, "219e36998e21d128d1a4b7f046e2626a871cda0176f4cfbda36c1330e652d4eb"),
+        (300, "d911eafa6eaf37a888b04ce8f0c4b76cfd06a935eb0f182e79cb89cc1b462a22"),
+    ])
+    def test_csv_digest(self, tmp_path, n_points, digest):
+        # recorded while every budgeted selection ran greedy NMS on all candidates
+        out = tmp_path / "r.csv"
+        detectors = "harris,shi,fast,learned:" + os.path.join(FIXTURES, "detector.spw")
+        assert run(["eval-detector", "--detectors", detectors, "--count", "3", "--n-points", str(n_points),
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -827,6 +828,29 @@ class TestEstimateHomographyEqualsLoop:
             outcomes.append(want[0] if isinstance(want, tuple) else "model")
         # a draw of either point makes the DLT matrix non-finite; the other seeds run every block
         assert set(outcomes) == {"model", "LinAlgError"}
+
+    def test_sample_holding_an_infinite_point_does_not_warn(self):
+        rng = np.random.default_rng(29)
+        a_xy, b_xy = correspondences(rng, 10, 0.5, shape=(240, 320))
+        b_xy[0] = np.inf
+        matches = matches_from_arrays(a_xy, b_xy)
+        for seed in range(5):
+            p = ev.RansacParams(seed=seed, max_iters=50)
+            with np.errstate(invalid="ignore"):  # the loop's own arithmetic on the infinite point warns
+                want = outcome(estimate_homography_loop, matches, p)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert outcome(ev.estimate_homography, matches, p) == want
+        # the cross products with the infinite point are NaN, which is <= nothing; its infinite extent
+        # makes the bound infinite, so the other three points' finite cross product is <= it, as in
+        # collinear_one.  A NaN point leaves the bound finite: the sample reaches the DLT, which fails.
+        b_xy[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kinds, counts, _ = ev._evaluate_samples(a_xy, b_xy, np.array([[0, 2, 3, 4], [1, 2, 3, 4]]), 3.0, 0)
+        assert kinds.tolist() == [ev._COLLINEAR, ev._SVD_FAILED] and counts.tolist() == [0, 0]
+        with np.errstate(invalid="ignore"):
+            assert collinear_one(b_xy[[0, 2, 3, 4]]) and not collinear_one(b_xy[[1, 2, 3, 4]])
 
     def test_hypotheses_below_the_best_count_skip_the_backward_transfer(self, monkeypatch):
         stacks = []
